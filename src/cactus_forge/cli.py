@@ -59,8 +59,11 @@ def _load_cactus_file(path: str):
         raise InstanceFormatError(f"{path}: expected a JSON list of triples")
     triples = []
     for item in data:
+        # JSON true/false load as bools, which are ints to isinstance()
+        # and would alias vertices 1 and 0.
         if not (isinstance(item, list) and len(item) == 3
-                and all(isinstance(v, int) for v in item)):
+                and all(isinstance(v, int) and not isinstance(v, bool)
+                        for v in item)):
             raise InstanceFormatError(f"{path}: bad triple {item!r}")
         triples.append(tuple(item))
     return triples

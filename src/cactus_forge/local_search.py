@@ -87,21 +87,25 @@ class _MoveScan:
     mode); addability filtering alone keeps that sound, since adding
     triangles only ever merges components, so a rejected candidate stays
     rejected no matter what is added later.
+
+    Each stage builds its own union-find from the cactus triangles that
+    the stage keeps; the cactus itself is only read, never copied.
     """
 
     def __init__(self, g: PlaneGraph, c: TriangularCactus, pruned: bool):
         self.g = g
-        self.c = c
         self.pruned = pruned
         self.verts = [t.vertices for t in g.triangles]
-        in_c = set(c.triangle_ids)
+        self.kept = c.triangle_ids
+        self.roots = [c._root(v) for v in range(g.n)]
+        in_c = set(self.kept)
         self.free = [t.id for t in g.triangles if t.id not in in_c]
         self.examined = 0
 
     def moves(self, t: int) -> Iterator[SwapMove]:
         yield from self._stage(())
         if t >= 1:
-            ids = self.c.triangle_ids
+            ids = self.kept
             for x in ids:
                 yield from self._stage((x,))
             if t >= 2:
@@ -109,23 +113,10 @@ class _MoveScan:
                     yield from self._stage(pair)
 
     def _stage(self, removal: tuple[int, ...]) -> Iterator[SwapMove]:
-        g, c = self.g, self.c
-        base = c.copy()
-        for x in removal:
-            base.remove_triangle(x)
-
-        touched = None
-        if self.pruned and removal:
-            roots = {c._root(self.verts[x][0]) for x in removal}
-            touched = bytearray(g.n)
-            for v in range(g.n):
-                if c._root(v) in roots:
-                    touched[v] = 1
-
-        parent = [base._root(v) for v in range(g.n)]
-        sizes: dict[int, int] = {}
-        for v in range(g.n):
-            sizes[parent[v]] = sizes.get(parent[v], 0) + 1
+        g = self.g
+        verts = self.verts
+        parent = list(range(g.n))
+        sizes = [1] * g.n
         trail: list[int] = []
 
         def find(v: int) -> int:
@@ -147,8 +138,19 @@ class _MoveScan:
                 sizes[a] -= sizes[b]
                 parent[b] = b
 
+        for x in self.kept:
+            if x not in removal:
+                a, b, w = verts[x]
+                union(find(a), find(b))
+                union(find(a), find(w))
+        trail.clear()  # the kept triangles are never undone
+
+        touched = None
+        if self.pruned and removal:
+            disturbed = {self.roots[verts[x][0]] for x in removal}
+            touched = bytearray(r in disturbed for r in self.roots)
+
         free = self.free
-        verts = self.verts
         need = len(removal) + 1
         acc: list[int] = []
 

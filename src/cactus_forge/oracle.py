@@ -1,13 +1,26 @@
 """Exact maximum-cactus solvers for small instances.
 
-Plain depth-first branch and bound over a fixed candidate order.  The
-bound at each node is the partial size plus the number of remaining
-candidates whose edges do not clash with the partial solution; that
-overcounts (it ignores component constraints and clashes among the
-remaining candidates themselves) but is cheap and correct.  Results from
-these solvers are the ground truth every approximation column is compared
-against, so the node budget is enforced loudly: running out raises, and
-the partial result rides along on the exception marked non-exhaustive.
+Depth-first branch and bound over a fixed candidate order (heaviest
+degree sum first), including a candidate before excluding it.  Each node
+is pruned by two upper bounds on what its subtree can still add:
+
+* the rank bound: every accepted triangle merges three components of
+  the candidate vertices into one, so with ``comps`` components open no
+  more than ``(comps - 1) // 2`` further triangles fit.  It costs O(1)
+  and is tested first;
+* the compatibility bound: the number of remaining candidates whose
+  edges do not clash with the partial solution.  It costs O(remaining)
+  and only runs when the rank bound did not prune.
+
+A bound only cuts subtrees that cannot beat the best solution found so
+far, so the optimum and the witness do not depend on which bounds are
+used.  The search keeps its own stack rather than recursing, so its
+Python call depth stays constant however many candidates it is given.
+
+Results from these solvers are the ground truth every approximation
+column is compared against, so the node budget is enforced loudly:
+running out raises, and the partial result rides along on the exception
+marked non-exhaustive.
 
 Two candidate universes are offered: the triangular faces of a plane
 graph (matching the local search's move set) and all 3-cliques of an
@@ -79,54 +92,62 @@ def _search(
         size[a] += size[b]
         trail.append(b)
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            b = trail.pop()
-            a = parent[b]
-            size[a] -= size[b]
-            parent[b] = b
+    def undo_one() -> None:
+        b = trail.pop()
+        a = parent[b]
+        size[a] -= size[b]
+        parent[b] = b
 
     used_edges: set[tuple[int, int]] = set()
     chosen: list[Triple] = []
+    comps = len(vertices)
     best = 0
     best_witness: tuple[Triple, ...] = ()
     nodes = 0
 
-    def partial() -> OracleResult:
-        return OracleResult(best, best_witness, nodes, exhausted=False)
-
-    def recurse(i: int) -> None:
-        nonlocal nodes, best, best_witness
+    # i >= 0 visits node i; ~i undoes the inclusion of candidate i.  It
+    # sits under the include branch's visit, so the exclude branch pushed
+    # beneath it starts from the state before the inclusion.
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            i = ~i
+            chosen.pop()
+            used_edges.difference_update(edge_lists[i])
+            undo_one()  # an inclusion made exactly two unions
+            undo_one()
+            comps += 2
+            continue
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(partial())
+            raise BudgetExceededError(
+                OracleResult(best, best_witness, nodes, exhausted=False)
+            )
+        if len(chosen) + (comps - 1) // 2 <= best:
+            continue
         compatible = sum(
             1
             for j in range(i, total)
             if not any(e in used_edges for e in edge_lists[j])
         )
-        if len(chosen) + compatible <= best:
-            return
-        if i == total:
-            return
+        if len(chosen) + compatible <= best or i == total:
+            continue
+        stack.append(i + 1)
         u, v, w = triples[i]
         ru, rv, rw = find(u), find(v), find(w)
         if ru != rv and rv != rw and ru != rw:
-            mark = len(trail)
-            union(find(u), find(v))
-            union(find(u), find(w))
+            union(ru, rv)
+            union(find(u), rw)
+            comps -= 2
             used_edges.update(edge_lists[i])
             chosen.append(triples[i])
             if len(chosen) > best:
                 best = len(chosen)
                 best_witness = tuple(sorted(chosen))
-            recurse(i + 1)
-            chosen.pop()
-            used_edges.difference_update(edge_lists[i])
-            undo(mark)
-        recurse(i + 1)
+            stack.append(~i)
+            stack.append(i + 1)
 
-    recurse(0)
     result = OracleResult(best, best_witness, nodes, exhausted=True)
     if len(result.witness) != result.optimum or not triples_form_cactus(result.witness):
         raise IdentityViolationError("oracle produced a witness that is not a cactus")

@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,7 +220,8 @@ class BenchRow:
     Wall-clock fields are excluded from the CSV (see CSV_COLUMNS) so the
     CSV stays deterministic; they travel in the JSON sidecar instead.
     beta_faces is None when the oracle was skipped (too many candidates)
-    or gave up (budget).  failures is empty on a clean row.
+    or gave up (budget); the sidecar's oracle_status says which.  failures
+    is empty on a clean row.
     """
 
     instance: str
@@ -343,17 +345,27 @@ def _strict_misses(label: str, report: CactusReport) -> list[str]:
 def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     """Solve one instance at all three strengths and grade the result.
 
-    Never raises: every error becomes a failure string on the row, so a
-    broken instance cannot take down the sweep.
+    Never raises: every error becomes a failure string on the row, and
+    its traceback goes to the sidecar, so a broken instance cannot take
+    down the sweep.  The sidecar also records why beta is or is not known:
+    oracle_status is "exact", "guard" (too many candidates), "budget"
+    (node budget ran out) or "error" (the row failed before or inside the
+    oracle), next to the oracle_nodes it explored.
     """
     label = spec.label()
     failures: list[str] = []
-    sidecar: dict = {"instance": label}
+    sidecar: dict = {"instance": label, "oracle_status": "error", "oracle_nodes": 0}
     try:
         g = build(spec)
-    except CactusForgeError as exc:
+    except Exception as exc:
+        # Library errors already name the bad parameter; anything else is
+        # a bug, so its type is worth keeping.
+        detail = str(exc)
+        if not isinstance(exc, CactusForgeError):
+            detail = f"{type(exc).__name__}: {detail}"
+        sidecar["traceback"] = traceback.format_exc()
         row = BenchRow(label, 0, 0, 0, 0, None, None, None, None, None,
-                       False, (f"generate: {exc}",))
+                       False, (f"generate: {detail}",))
         return row, sidecar
 
     d_greedy = d1 = d2 = None
@@ -386,11 +398,15 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
             if v.required:
                 failures.append(f"verdict {v.name}: {v.detail}")
 
-        if g.f3_all <= CANDIDATE_GUARD:
+        if g.f3_all > CANDIDATE_GUARD:
+            sidecar["oracle_status"] = "guard"
+        else:
             start = time.perf_counter()
             try:
                 res = exact_beta_faces(g)
+                sidecar["oracle_nodes"] = res.nodes_explored
                 if res.exhausted:
+                    sidecar["oracle_status"] = "exact"
                     beta = res.optimum
                     if d2 > beta:
                         failures.append(f"oracle: delta_2swap {d2} > beta {beta}")
@@ -398,13 +414,16 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
                         failures.append(
                             f"oracle: 2*delta_greedy {2 * d_greedy} < beta {beta}"
                         )
-            except BudgetExceededError:
-                pass
+            except BudgetExceededError as exc:
+                sidecar["oracle_status"] = "budget"
+                sidecar["oracle_nodes"] = exc.result.nodes_explored
             t_oracle = time.perf_counter() - start
     except IdentityViolationError as exc:
         failures.append(f"identity: {exc}")
-    except CactusForgeError as exc:
+        sidecar["traceback"] = traceback.format_exc()
+    except Exception as exc:
         failures.append(f"error: {type(exc).__name__}: {exc}")
+        sidecar["traceback"] = traceback.format_exc()
 
     sidecar["wall"] = {
         "solve_s": round(t_solve, 6),

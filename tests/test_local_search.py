@@ -145,3 +145,32 @@ def test_iteration_cap_triggers():
     g = build_instance(GeneratorSpec("random_maximal_planar", n=64, seed=60))
     with pytest.raises(IterationCapError):
         local_search(g, SearchConfig(iteration_cap=1))
+
+
+# Triangle ids and moves_examined of seeded runs, frozen so that a faster
+# move scan must enumerate exactly the same moves in the same order.
+PINNED_RUNS = {
+    (16, 1, 1): ((0, 7, 10, 14, 18, 21, 25), 328),
+    (16, 1, 2): ((0, 7, 10, 14, 18, 21, 25), 2296),
+    (32, 2, 1): ((5, 10, 12, 15, 20, 23, 29, 33, 38, 42, 44, 47, 50, 51, 55), 1682),
+    (32, 2, 2): ((5, 10, 12, 15, 20, 23, 29, 33, 38, 42, 44, 47, 50, 51, 55), 18906),
+    (48, 3, 1): (
+        (6, 7, 11, 14, 15, 19, 21, 23, 29, 34, 37, 44, 48, 52, 54, 59, 72, 76,
+         77, 80, 84, 90),
+        3123,
+    ),
+    (48, 3, 2): (
+        (3, 6, 7, 11, 14, 15, 19, 21, 23, 35, 37, 44, 48, 52, 54, 59, 67, 72,
+         76, 77, 80, 84, 90),
+        89438,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, seed, t", sorted(PINNED_RUNS))
+def test_pinned_search_runs(n, seed, t):
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    c, trace = local_search(g, SearchConfig(t=t))
+    ids, examined = PINNED_RUNS[n, seed, t]
+    assert c.triangle_ids == ids
+    assert trace.moves_examined == examined

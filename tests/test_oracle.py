@@ -1,6 +1,9 @@
 """Branch-and-bound exact optima on small instances."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cactus_forge import (
     BudgetExceededError,
@@ -14,7 +17,9 @@ from cactus_forge import (
     local_search,
 )
 from cactus_forge.cactus import triples_form_cactus
+from cactus_forge.cli import main
 from cactus_forge.oracle import CANDIDATE_GUARD
+from cactus_forge.plane_graph import dump_instance, plane_subgraph
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +116,67 @@ def test_budget_carries_partial_result(icosa):
     assert partial.nodes_explored >= 10
     assert partial.optimum <= 5
     assert triples_form_cactus(partial.witness)
+
+
+def brute_force_beta(cands):
+    """Largest subset of the candidates that forms a cactus, by exhaustion."""
+    for k in range(len(cands), 0, -1):
+        if any(triples_form_cactus(s) for s in combinations(cands, k)):
+            return k
+    return 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 9), st.integers(0, 500), st.data())
+def test_faces_optimum_matches_brute_force(n, seed, data):
+    host = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    dropped = data.draw(st.lists(st.sampled_from(sorted(host.edge_set)), unique=True))
+    g, _ = plane_subgraph(host, range(host.n), dropped)
+    cands = [t.vertices for t in g.triangles]
+    assume(len(cands) <= 14)
+    res = exact_beta_faces(g)
+    assert res.exhausted
+    assert res.optimum == brute_force_beta(cands)
+    check_witness(g, res)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=16))
+def test_cliques_optimum_matches_brute_force(pairs):
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    cands = [
+        t for t in combinations(range(7), 3)
+        if all(e in edges for e in combinations(t, 2))
+    ]
+    assume(len(cands) <= 14)
+    res = exact_beta_all_triangles(sorted(edges))
+    assert res.exhausted
+    assert res.optimum == brute_force_beta(cands)
+    assert len(res.witness) == res.optimum
+    assert set(res.witness) <= set(cands)
+    assert triples_form_cactus(res.witness)
+
+
+@pytest.fixture(scope="module")
+def rmp520():
+    # 1036 candidates: far more than any recursion limit allows as depth
+    return build_instance(GeneratorSpec("random_maximal_planar", n=520, seed=1))
+
+
+def test_large_search_runs_out_of_budget_not_stack(rmp520):
+    assert rmp520.f3_all == 1036
+    with pytest.raises(BudgetExceededError) as exc:
+        exact_beta_faces(rmp520, budget=2000, allow_large=True)
+    partial = exc.value.result
+    assert partial.nodes_explored == 2001
+    assert triples_form_cactus(partial.witness)
+
+
+def test_large_search_cli_exits_4(rmp520, tmp_path, capsys):
+    inst = tmp_path / "rmp520.json"
+    dump_instance(rmp520, inst)
+    code = main(["oracle", "--in", str(inst), "--allow-large", "--budget", "2000"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "oracle refused" in err
+    assert "Traceback" not in err

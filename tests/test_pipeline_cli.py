@@ -15,6 +15,7 @@ from cactus_forge import (
     mpt_pipeline,
     verify_corpus,
 )
+from cactus_forge import oracle, pipeline
 from cactus_forge.cli import main
 from cactus_forge.pipeline import (
     CSV_COLUMNS,
@@ -162,6 +163,49 @@ class TestCorpusHarness:
         assert len(data) == 3
         assert all(d["ok"] for d in data)
 
+    @pytest.mark.parametrize(
+        "layer, prefix",
+        [("build", "generate: AssertionError"), ("analyze_cactus", "error: AssertionError")],
+    )
+    def test_bare_exception_fails_only_its_row(self, monkeypatch, layer, prefix):
+        corpus = acceptance_corpus(rmp_count=4)[:4]
+        original = getattr(pipeline, layer)
+
+        def flaky(arg, *rest, **kwargs):
+            # arg is the spec for build and the graph for analyze_cactus;
+            # both carry n, which differs on every row of this corpus
+            if arg.n == corpus[2].n:
+                raise AssertionError("planted")
+            return original(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(pipeline, layer, flaky)
+        res = verify_corpus(corpus)
+        assert [r.instance for r in res.rows] == [s.label() for s in corpus]
+        assert res.failures == ((corpus[2].label(), f"{prefix}: planted"),)
+        assert [r.ok for r in res.rows] == [True, True, False, True]
+        assert ["traceback" in side for side in res.reports] == [False, False, True, False]
+        assert "planted" in res.reports[2]["traceback"]
+
+    def test_sidecar_says_why_beta_is_missing(self, monkeypatch):
+        corpus = [
+            GeneratorSpec("random_maximal_planar", n=10, seed=0),
+            GeneratorSpec("random_maximal_planar", n=30, seed=7),
+            GeneratorSpec("wheel", n=2),
+        ]
+        res = verify_corpus(corpus)
+        exact, guard, error = res.reports
+        assert exact["oracle_status"] == "exact" and exact["oracle_nodes"] > 0
+        assert res.rows[0].beta_faces is not None
+        assert guard["oracle_status"] == "guard" and guard["oracle_nodes"] == 0
+        assert error["oracle_status"] == "error" and error["oracle_nodes"] == 0
+        assert res.rows[1].beta_faces is None and res.rows[2].beta_faces is None
+
+        monkeypatch.setattr(
+            pipeline, "exact_beta_faces", lambda g: oracle.exact_beta_faces(g, budget=5)
+        )
+        (budget,) = verify_corpus(corpus[:1]).reports
+        assert budget["oracle_status"] == "budget" and budget["oracle_nodes"] == 6
+
     def test_report_to_dict_shape(self, heavy_pair):
         from cactus_forge import analyze_cactus
 
@@ -275,6 +319,14 @@ class TestCli:
         assert main(["solve", "--in", str(bad)]) == 4
         assert main(["analyze", "--in", str(bad), "--cactus", str(bad)]) == 4
         capsys.readouterr()
+
+    def test_boolean_vertex_ids_are_rejected(self, tmp_path, capsys):
+        inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        cac = tmp_path / "bool_cactus.json"
+        # (0, 1, 4) is a face; true must not stand in for vertex 1
+        cac.write_text("[[0, true, 4]]")
+        assert main(["analyze", "--in", str(inst), "--cactus", str(cac)]) == 4
+        assert "bad triple" in capsys.readouterr().err
 
     def test_unknown_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

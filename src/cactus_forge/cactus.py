@@ -16,6 +16,7 @@ a decremental connectivity structure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -120,6 +121,20 @@ class TriangularCactus:
     def delta(self) -> int:
         """Number of triangles in the cactus."""
         return len(self._triangles)
+
+    @property
+    def at_ceiling(self) -> bool:
+        """True when the cactus reaches the ceiling no cactus of the host exceeds.
+
+        A triangle lies inside one host component and merges three vertex
+        components into one, so a host component of s vertices holds at
+        most (s - 1) // 2 triangles; the ceiling is the sum over the host's
+        components.  At the ceiling no swap can improve the cactus, which
+        certifies local optimality without a search.  Below it the cactus
+        may still be a maximum one: the bound is not always reached.
+        """
+        sizes = Counter(self.host.comp_of_vertex)
+        return len(self._triangles) == sum((s - 1) // 2 for s in sizes.values())
 
     def __contains__(self, t: int | Triangle) -> bool:
         tid = t.id if isinstance(t, Triangle) else t

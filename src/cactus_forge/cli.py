@@ -13,6 +13,7 @@ identity failed (a bug, not bad data), 4 unusable input or output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -223,6 +224,7 @@ def _cmd_bench(args) -> int:
 # parser
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cactus-forge",

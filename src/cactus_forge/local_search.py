@@ -4,7 +4,9 @@ A move removes a set X of cactus triangles (|X| <= t) and adds |X| + 1
 candidate triangles so the result is again a valid cactus.  Moves are
 enumerated in lexicographic order of (|X|, sorted X ids, sorted Y ids)
 and the default pivot applies the first improvement found, which makes
-every run reproducible.
+every run reproducible.  The search stops without a final scan once the
+cactus reaches the ceiling of ``TriangularCactus.at_ceiling``, where no
+move can improve it.
 
 The searcher prunes the add-set enumeration: once the 0-swap stage has
 proven the cactus maximal, every add-triangle of a larger move must touch
@@ -230,7 +232,7 @@ def local_search(
     initial = c.delta
     applied: list[SwapMove] = []
     examined = 0
-    while True:
+    while not c.at_ceiling:
         scan = _MoveScan(g, c, pruned=True)
         if cfg.pivot == "first":
             move = next(scan.moves(cfg.t), None)

@@ -21,7 +21,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -482,6 +481,10 @@ def verify_corpus(
     if workers == 1 or len(specs) <= 1:
         pairs = [_bench_one(s, cfg) for s in specs]
     else:
+        # Imported here: it loads multiprocessing, which the default single
+        # worker never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_bench_one, specs, [cfg] * len(specs)))
 

@@ -36,6 +36,17 @@ def k4():
 
 
 @pytest.fixture
+def two_k4():
+    # Two copies of k4 side by side, on vertices 0..3 and 4..7.
+    return PlaneGraph(
+        8,
+        [[1, 3, 2], [2, 3, 0], [0, 3, 1], [2, 0, 1],
+         [5, 7, 6], [6, 7, 4], [4, 7, 5], [6, 4, 5]],
+        (1, 0),
+    )
+
+
+@pytest.fixture
 def double_ear():
     # Triangle 0-1-2 with ear 3 over edge 0-1 and ear 4 over edge 0-2.
     return PlaneGraph(

@@ -21,6 +21,24 @@ def test_empty_cactus(k4):
     assert c.spanned_vertices() == frozenset()
 
 
+def test_ceiling_counts_host_components(necklace):
+    # The isolated vertex 0 holds no triangle and the six others at most
+    # (6 - 1) // 2 = 2, so the ceiling is 2 triangles, not (7 - 1) // 2 = 3.
+    c = TriangularCactus(necklace, [0])
+    assert not c.at_ceiling
+    assert c.try_add_triangle(2)
+    assert c.at_ceiling
+
+
+def test_ceiling_is_summed_over_components(two_k4):
+    # Each K4 holds one triangle: the ceiling is 1 + 1, below (8 - 2) // 2 = 3.
+    c = TriangularCactus(two_k4, [0])
+    assert not c.at_ceiling
+    other = next(t.id for t in two_k4.triangles if min(t.vertices) >= 4)
+    assert c.try_add_triangle(other)
+    assert c.at_ceiling
+
+
 def test_add_by_id_and_membership(k4):
     c = TriangularCactus(k4)
     assert c.try_add_triangle(0)

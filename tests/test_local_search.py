@@ -5,6 +5,7 @@ import pytest
 from cactus_forge import (
     GeneratorSpec,
     SearchConfig,
+    acceptance_corpus,
     build_instance,
     find_improving_swap,
     greedy_initial,
@@ -12,7 +13,7 @@ from cactus_forge import (
     verify_local_optimality,
 )
 from cactus_forge.errors import IterationCapError
-from cactus_forge.local_search import apply_move
+from cactus_forge.local_search import _MoveScan, apply_move
 
 
 @pytest.fixture(scope="module")
@@ -147,22 +148,27 @@ def test_iteration_cap_triggers():
         local_search(g, SearchConfig(iteration_cap=1))
 
 
-# Triangle ids and moves_examined of seeded runs, frozen so that a faster
-# move scan must enumerate exactly the same moves in the same order.
+# Triangle ids, moves_examined and the count of a final no-move pruned
+# scan of seeded runs, frozen so that a faster move scan must enumerate
+# exactly the same moves in the same order.  All but (48, 3, 1), which
+# ends one triangle short, stop at the ceiling, so their moves_examined
+# holds no final no-move scan; the last count pins that scan on its own.
 PINNED_RUNS = {
-    (16, 1, 1): ((0, 7, 10, 14, 18, 21, 25), 328),
-    (16, 1, 2): ((0, 7, 10, 14, 18, 21, 25), 2296),
-    (32, 2, 1): ((5, 10, 12, 15, 20, 23, 29, 33, 38, 42, 44, 47, 50, 51, 55), 1682),
-    (32, 2, 2): ((5, 10, 12, 15, 20, 23, 29, 33, 38, 42, 44, 47, 50, 51, 55), 18906),
+    (16, 1, 1): ((0, 7, 10, 14, 18, 21, 25), 42, 286),
+    (16, 1, 2): ((0, 7, 10, 14, 18, 21, 25), 42, 2254),
+    (32, 2, 1): ((5, 10, 12, 15, 20, 23, 29, 33, 38, 42, 44, 47, 50, 51, 55), 548, 1134),
+    (32, 2, 2): ((5, 10, 12, 15, 20, 23, 29, 33, 38, 42, 44, 47, 50, 51, 55), 548, 18358),
     (48, 3, 1): (
         (6, 7, 11, 14, 15, 19, 21, 23, 29, 34, 37, 44, 48, 52, 54, 59, 72, 76,
          77, 80, 84, 90),
         3123,
+        2680,
     ),
     (48, 3, 2): (
         (3, 6, 7, 11, 14, 15, 19, 21, 23, 35, 37, 44, 48, 52, 54, 59, 67, 72,
          76, 77, 80, 84, 90),
-        89438,
+        40038,
+        49400,
     ),
 }
 
@@ -171,6 +177,31 @@ PINNED_RUNS = {
 def test_pinned_search_runs(n, seed, t):
     g = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
     c, trace = local_search(g, SearchConfig(t=t))
-    ids, examined = PINNED_RUNS[n, seed, t]
+    ids, examined, final_scan = PINNED_RUNS[n, seed, t]
     assert c.triangle_ids == ids
     assert trace.moves_examined == examined
+    assert c.at_ceiling == ((n, seed, t) != (48, 3, 1))
+    scan = _MoveScan(g, c, pruned=True)
+    assert next(scan.moves(t), None) is None
+    assert scan.examined == final_scan
+
+
+def test_search_stops_at_the_ceiling(two_k4):
+    # Greedy takes one triangle per K4, which is the ceiling: no scan runs.
+    c, trace = local_search(two_k4)
+    assert (c.delta, c.at_ceiling) == (2, True)
+    assert trace.moves_examined == 0
+
+
+def test_ceiling_results_pass_the_unpruned_verifier():
+    specs = [
+        GeneratorSpec("random_maximal_planar", n=n, seed=n) for n in range(4, 25)
+    ] + list(acceptance_corpus(0))
+    at_ceiling = 0
+    for spec in specs:
+        g = build_instance(spec)
+        c, _ = local_search(g)
+        if c.at_ceiling:
+            at_ceiling += 1
+            assert verify_local_optimality(g, c, 2) == (True, None)
+    assert at_ceiling > len(specs) // 2

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,21 @@ class TestCorpusHarness:
         assert tuple(rows[0]) == CSV_COLUMNS
         assert "wall_solve_s" not in rows[0]
         assert len(rows) == 7
+
+    def test_process_pool_writes_the_same_csv(self, tmp_path):
+        corpus = acceptance_corpus()[:4]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        write_csv(verify_corpus(corpus, threads=1).rows, one)
+        write_csv(verify_corpus(corpus, threads=2).rows, two)
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_import_does_not_load_multiprocessing(self):
+        probe = "import sys, cactus_forge.cli; print('multiprocessing' in sys.modules)"
+        src = str(Path(pipeline.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False"
 
     def test_sidecar_roundtrips(self, tmp_path):
         res = verify_corpus(acceptance_corpus(rmp_count=3)[:3])

@@ -71,13 +71,12 @@ def _load_cactus_file(path: str):
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(t=args.t, seed=args.seed, pivot=args.pivot)
+    return SearchConfig(t=args.t, seed=args.seed)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, default=2, choices=(1, 2), help="swap size")
     p.add_argument("--seed", type=int, default=0, help="greedy shuffle seed")
-    p.add_argument("--pivot", default="first", choices=("first", "best"))
 
 
 def _frac(x):

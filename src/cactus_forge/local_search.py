@@ -3,10 +3,19 @@
 A move removes a set X of cactus triangles (|X| <= t) and adds |X| + 1
 candidate triangles so the result is again a valid cactus.  Moves are
 enumerated in lexicographic order of (|X|, sorted X ids, sorted Y ids)
-and the default pivot applies the first improvement found, which makes
-every run reproducible.  The search stops without a final scan once the
+and the search applies the first improvement found, which makes every
+run reproducible.  The search stops without a final scan once the
 cactus reaches the ceiling of ``TriangularCactus.at_ceiling``, where no
 move can improve it.
+
+Each removal set X is one stage of the scan.  A stage labels every
+vertex with its component in the cactus minus X, lists the free
+triangles whose corners carry three distinct labels, and narrows that
+list level by level: choosing an add-triangle merges its three labels
+into one, and the next level keeps only the later entries whose labels
+are still distinct.  ``moves_examined`` counts the free triangles a
+per-position walk would visit, one per position of the free order at
+each level, whether or not the narrowed list still holds it.
 
 The searcher prunes the add-set enumeration: once the 0-swap stage has
 proven the cactus maximal, every add-triangle of a larger move must touch
@@ -22,7 +31,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .cactus import TriangularCactus
@@ -50,15 +59,12 @@ class SwapMove:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """t: swap size (1 or 2).  pivot: "first" applies the lexicographically
-    first improving move; "best" scans the whole move space and applies the
-    lexicographic minimum (same move by construction, kept as a self-check).
-    iteration_cap bounds applied moves; None means floor((n-1)/2), which can
-    never trigger since each move raises the triangle count by one."""
+    """t: swap size (1 or 2).  seed: greedy shuffle seed.  iteration_cap
+    bounds applied moves; None means floor((n-1)/2), which can never
+    trigger since each move raises the triangle count by one."""
 
     t: int = 2
     seed: int = 0
-    pivot: str = "first"
     iteration_cap: int | None = None
 
 
@@ -90,18 +96,28 @@ class _MoveScan:
     triangles only ever merges components, so a rejected candidate stays
     rejected no matter what is added later.
 
-    Each stage builds its own union-find from the cactus triangles that
-    the stage keeps; the cactus itself is only read, never copied.
+    That same fact lets each level of a stage filter only the tail of
+    its parent's list: an entry holds a free triangle's position in the
+    free order, its id and its corners' component labels, and choosing a
+    triangle relabels its three labels to one in the entries after it.
+    Each stage builds a flat label per vertex from the cactus triangles
+    it keeps; the cactus itself is only read, never copied.
+
+    examined counts the positions of the free order that each level
+    walks past, as if every position were tested: the gaps up to each
+    listed entry, plus the rest of the order when a level runs out.
     """
 
     def __init__(self, g: PlaneGraph, c: TriangularCactus, pruned: bool):
-        self.g = g
+        self.n = g.n
         self.pruned = pruned
         self.verts = [t.vertices for t in g.triangles]
         self.kept = c.triangle_ids
         self.roots = [c._root(v) for v in range(g.n)]
         in_c = set(self.kept)
-        self.free = [t.id for t in g.triangles if t.id not in in_c]
+        free = [t for t in g.triangles if t.id not in in_c]
+        # (position in the free order, triangle id, its three corners)
+        self.free = [(pos, t.id, *t.vertices) for pos, t in enumerate(free)]
         self.examined = 0
 
     def moves(self, t: int) -> Iterator[SwapMove]:
@@ -114,71 +130,68 @@ class _MoveScan:
                 for pair in combinations(ids, 2):
                     yield from self._stage(pair)
 
-    def _stage(self, removal: tuple[int, ...]) -> Iterator[SwapMove]:
-        g = self.g
+    def _labels(self, removal: tuple[int, ...]) -> list[int]:
+        """One component label per vertex, for the cactus minus `removal`."""
         verts = self.verts
-        parent = list(range(g.n))
-        sizes = [1] * g.n
-        trail: list[int] = []
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
-        def union(a: int, b: int) -> None:
-            if sizes[a] < sizes[b]:
-                a, b = b, a
-            parent[b] = a
-            sizes[a] += sizes[b]
-            trail.append(b)
-
-        def undo(mark: int) -> None:
-            while len(trail) > mark:
-                b = trail.pop()
-                a = parent[b]
-                sizes[a] -= sizes[b]
-                parent[b] = b
-
+        parent = list(range(self.n))
         for x in self.kept:
             if x not in removal:
                 a, b, w = verts[x]
-                union(find(a), find(b))
-                union(find(a), find(w))
-        trail.clear()  # the kept triangles are never undone
+                # Path halving inline: a function call per find costs more
+                # than the walk itself on these shallow trees.
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                while parent[w] != w:
+                    parent[w] = w = parent[parent[w]]
+                parent[b] = parent[w] = a
+        for v in range(self.n):
+            r = parent[v]
+            while parent[r] != r:
+                r = parent[r]
+            parent[v] = r
+        return parent
 
-        touched = None
-        if self.pruned and removal:
-            disturbed = {self.roots[verts[x][0]] for x in removal}
-            touched = bytearray(r in disturbed for r in self.roots)
-
+    def _stage(self, removal: tuple[int, ...]) -> Iterator[SwapMove]:
+        label = self._labels(removal)
         free = self.free
-        need = len(removal) + 1
-        acc: list[int] = []
+        end = len(free)
+        if self.pruned and removal:
+            disturbed = {self.roots[self.verts[x][0]] for x in removal}
+            touched = bytearray(r in disturbed for r in self.roots)
+            free = [f for f in free if touched[f[2]] or touched[f[3]] or touched[f[4]]]
+        # Level 0: the free triangles that are addable on their own.
+        level = [
+            (pos, y, la, lb, lw)
+            for pos, y, a, b, w in free
+            if (la := label[a]) != (lb := label[b])
+            and (lw := label[w]) != la and lw != lb
+        ]
 
-        def extend(start: int) -> Iterator[tuple[int, ...]]:
-            slot = need - len(acc)
-            for idx in range(start, len(free)):
-                y = free[idx]
-                a, b, w = verts[y]
-                self.examined += 1
-                if touched is not None and not (touched[a] or touched[b] or touched[w]):
+        def walk(entries, start: int, need: int, acc: tuple[int, ...]):
+            cursor = start
+            for i, (pos, y, a, b, w) in enumerate(entries):
+                self.examined += pos - cursor + 1
+                cursor = pos + 1
+                if need == 1:
+                    yield acc + (y,)
                     continue
-                ra, rb, rw = find(a), find(b), find(w)
-                if ra == rb or rb == rw or ra == rw:
-                    continue
-                mark = len(trail)
-                union(ra, rb)
-                union(find(a), rw)
-                acc.append(y)
-                if slot == 1:
-                    yield tuple(acc)
-                else:
-                    yield from extend(idx + 1)
-                acc.pop()
-                undo(mark)
+                # Adding y merges components a, b and w into a.
+                deeper = []
+                for p, z, la, lb, lw in islice(entries, i + 1, None):
+                    if la == b or la == w:
+                        la = a
+                    if lb == b or lb == w:
+                        lb = a
+                    if lw == b or lw == w:
+                        lw = a
+                    if la != lb and lb != lw and la != lw:
+                        deeper.append((p, z, la, lb, lw))
+                yield from walk(deeper, cursor, need - 1, acc + (y,))
+            self.examined += end - cursor
 
-        for add in extend(0):
+        for add in walk(level, 0, len(removal) + 1, ()):
             yield SwapMove(remove=removal, add=add)
 
 
@@ -221,8 +234,6 @@ def local_search(
     """Run greedy initialization then repeated t-swaps to a local optimum."""
     if cfg.t not in (1, 2):
         raise ValueError(f"swap size must be 1 or 2, got {cfg.t}")
-    if cfg.pivot not in ("first", "best"):
-        raise ValueError(f'pivot must be "first" or "best", got {cfg.pivot!r}')
     cap = cfg.iteration_cap if cfg.iteration_cap is not None else max(1, (g.n - 1) // 2)
     if cap < 1:
         raise ValueError(f"iteration cap must be at least 1, got {cap}")
@@ -234,15 +245,7 @@ def local_search(
     examined = 0
     while not c.at_ceiling:
         scan = _MoveScan(g, c, pruned=True)
-        if cfg.pivot == "first":
-            move = next(scan.moves(cfg.t), None)
-        else:
-            found = list(scan.moves(cfg.t))
-            move = min(found, key=lambda m: (len(m.remove), m.remove, m.add), default=None)
-            if found and move != found[0]:
-                raise IdentityViolationError(
-                    "move enumeration is not in lexicographic order"
-                )
+        move = next(scan.moves(cfg.t), None)
         examined += scan.examined
         if move is None:
             break

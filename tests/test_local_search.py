@@ -1,6 +1,9 @@
 """Greedy start, t-swap improvement, and the independent optimality check."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cactus_forge import (
     GeneratorSpec,
@@ -12,8 +15,10 @@ from cactus_forge import (
     local_search,
     verify_local_optimality,
 )
+from cactus_forge.cli import main
 from cactus_forge.errors import IterationCapError
-from cactus_forge.local_search import _MoveScan, apply_move
+from cactus_forge.local_search import SwapMove, _MoveScan, apply_move
+from cactus_forge.plane_graph import dump_instance
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +81,16 @@ def test_trace_bookkeeping(rmp16):
         assert len(move.add) == len(move.remove) + 1
 
 
-def test_pivot_rules_agree(rmp16):
-    c_first, _ = local_search(rmp16, SearchConfig(pivot="first"))
-    c_best, _ = local_search(rmp16, SearchConfig(pivot="best"))
-    assert sorted(c_first.triangle_ids) == sorted(c_best.triangle_ids)
+def test_move_enumeration_is_lexicographic(rmp16):
+    # The search applies the first move found; that is the lexicographic
+    # minimum only because the scan yields moves in increasing order.
+    for pruned in (True, False):
+        keys = [
+            (len(m.remove), m.remove, m.add)
+            for m in _MoveScan(rmp16, greedy_initial(rmp16), pruned).moves(2)
+        ]
+        assert len(keys) > 1
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_one_swap_never_beats_two_swap():
@@ -132,13 +143,18 @@ def test_handmade_optima_survive_verification(heavy_pair, heavy_path):
         assert verify_local_optimality(case.g, case.cactus, 2) == (True, None)
 
 
-def test_config_validation(rmp16):
+def test_config_validation(rmp16, tmp_path, capsys):
     with pytest.raises(ValueError):
         local_search(rmp16, SearchConfig(t=3))
     with pytest.raises(ValueError):
-        local_search(rmp16, SearchConfig(pivot="random"))
-    with pytest.raises(ValueError):
         local_search(rmp16, SearchConfig(iteration_cap=0))
+    # The pivot rule is gone; the flag is a usage error.
+    path = tmp_path / "rmp16.json"
+    dump_instance(rmp16, path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--in", str(path), "--pivot", "first"])
+    assert exc.value.code == 2
+    assert "--pivot" in capsys.readouterr().err
 
 
 def test_iteration_cap_triggers():
@@ -205,3 +221,136 @@ def test_ceiling_results_pass_the_unpruned_verifier():
             at_ceiling += 1
             assert verify_local_optimality(g, c, 2) == (True, None)
     assert at_ceiling > len(specs) // 2
+
+
+class _ReferenceScan:
+    """The per-position move walk the narrowing scan replaced, kept as an
+    independent reference: one union-find per stage, and at each level a
+    find/union/undo for every free triangle from the start position on."""
+
+    def __init__(self, g, c, pruned):
+        self.g = g
+        self.pruned = pruned
+        self.verts = [t.vertices for t in g.triangles]
+        self.kept = c.triangle_ids
+        self.roots = [c._root(v) for v in range(g.n)]
+        in_c = set(self.kept)
+        self.free = [t.id for t in g.triangles if t.id not in in_c]
+        self.examined = 0
+
+    def moves(self, t):
+        yield from self._stage(())
+        if t >= 1:
+            for x in self.kept:
+                yield from self._stage((x,))
+            if t >= 2:
+                for pair in combinations(self.kept, 2):
+                    yield from self._stage(pair)
+
+    def _stage(self, removal):
+        verts = self.verts
+        parent = list(range(self.g.n))
+        sizes = [1] * self.g.n
+        trail = []
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        def union(a, b):
+            if sizes[a] < sizes[b]:
+                a, b = b, a
+            parent[b] = a
+            sizes[a] += sizes[b]
+            trail.append(b)
+
+        def undo(mark):
+            while len(trail) > mark:
+                b = trail.pop()
+                sizes[parent[b]] -= sizes[b]
+                parent[b] = b
+
+        for x in self.kept:
+            if x not in removal:
+                a, b, w = verts[x]
+                union(find(a), find(b))
+                union(find(a), find(w))
+        trail.clear()
+
+        touched = None
+        if self.pruned and removal:
+            disturbed = {self.roots[verts[x][0]] for x in removal}
+            touched = [r in disturbed for r in self.roots]
+
+        free = self.free
+        need = len(removal) + 1
+        acc = []
+
+        def extend(start):
+            for idx in range(start, len(free)):
+                y = free[idx]
+                a, b, w = verts[y]
+                self.examined += 1
+                if touched is not None and not (touched[a] or touched[b] or touched[w]):
+                    continue
+                ra, rb, rw = find(a), find(b), find(w)
+                if ra == rb or rb == rw or ra == rw:
+                    continue
+                mark = len(trail)
+                union(ra, rb)
+                union(find(a), rw)
+                acc.append(y)
+                if len(acc) == need:
+                    yield tuple(acc)
+                else:
+                    yield from extend(idx + 1)
+                acc.pop()
+                undo(mark)
+
+        for add in extend(0):
+            yield SwapMove(remove=removal, add=add)
+
+
+def _assert_scans_agree(g, c):
+    for pruned in (True, False):
+        for t in (0, 1, 2):
+            scan, ref = _MoveScan(g, c, pruned), _ReferenceScan(g, c, pruned)
+            assert list(scan.moves(t)) == list(ref.moves(t)), (pruned, t)
+            assert scan.examined == ref.examined, (pruned, t)
+            scan, ref = _MoveScan(g, c, pruned), _ReferenceScan(g, c, pruned)
+            assert next(scan.moves(t), None) == next(ref.moves(t), None), (pruned, t)
+            assert scan.examined == ref.examined, (pruned, t)
+
+
+def _cacti_along_the_search(g):
+    """Greedy, 1-swap and 2-swap cacti, and the 2-swap one minus a triangle."""
+    found = [greedy_initial(g)]
+    found += [local_search(g, SearchConfig(t=t))[0] for t in (1, 2)]
+    short = found[-1].copy()
+    if len(short):
+        short.remove_triangle(short.triangle_ids[len(short) // 2])
+        found.append(short)
+    return found
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec("random_maximal_planar", n=n, seed=n) for n in range(8, 49, 5)]
+    + [GeneratorSpec("apollonian", n=n, seed=n) for n in (5, 13, 22, 30, 38)],
+    ids=GeneratorSpec.label,
+)
+def test_scan_matches_the_reference_walk(spec):
+    g = build_instance(spec)
+    for c in _cacti_along_the_search(g):
+        _assert_scans_agree(g, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 14), st.integers(0, 10_000), st.integers(0, 2), st.booleans())
+def test_scan_matches_the_reference_walk_on_small_cacti(n, seed, strength, drop):
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    c = local_search(g, SearchConfig(t=strength))[0] if strength else greedy_initial(g, seed)
+    if drop and len(c):
+        c.remove_triangle(c.triangle_ids[seed % len(c)])
+    _assert_scans_agree(g, c)

@@ -182,6 +182,29 @@ class TestCorpusHarness:
         assert len(data) == 3
         assert all(d["ok"] for d in data)
 
+    def test_sidecar_times_the_verifier_inside_analyze(self):
+        res = verify_corpus(acceptance_corpus(rmp_count=6)[2:6])
+        for row, side in zip(res.rows, res.reports):
+            wall = side["wall"]
+            assert 0 < wall["verify_s"] <= wall["analyze_s"]
+            assert wall["analyze_s"] == round(row.wall_analyze_s, 6)
+
+    def test_verifier_failure_keeps_its_row_text(self, monkeypatch):
+        # Hand the harness a greedy cactus as the 2-swap result on a row
+        # where greedy is not 2-swap optimal.
+        spec = GeneratorSpec("random_maximal_planar", n=20, seed=4)
+        search = pipeline.local_search
+
+        def weak(g, cfg):
+            c, trace = search(g, cfg)
+            return (pipeline.greedy_initial(g, cfg.seed) if cfg.t == 2 else c), trace
+
+        monkeypatch.setattr(pipeline, "local_search", weak)
+        res = verify_corpus([spec])
+        assert res.rows[0].failures == ("analyzer: 2-swap result fails the verifier",)
+        wall = res.reports[0]["wall"]
+        assert 0 < wall["verify_s"] <= wall["analyze_s"]
+
     @pytest.mark.parametrize(
         "layer, prefix",
         [("build", "generate: AssertionError"), ("analyze_cactus", "error: AssertionError")],

@@ -50,26 +50,20 @@ from .pipeline import (
 )
 from .plane_graph import (
     PlaneGraph,
-    build_from_rotation,
-    induced_plane_subgraph,
     load_instance,
     missing_edges_to_triangulation,
     plane_subgraph,
     relabeled,
-    triangular_faces,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PlaneGraph",
-    "build_from_rotation",
-    "induced_plane_subgraph",
     "plane_subgraph",
     "load_instance",
     "missing_edges_to_triangulation",
     "relabeled",
-    "triangular_faces",
     "TriangularCactus",
     "cactus_from_triples",
     "cactus_to_triples",

@@ -293,9 +293,9 @@ class _ComponentAnalysis:
             t for t in cactus.triangle_ids if set(g.triangles[t].vertices) <= s
         )
         # Smallest vertex per partition component, for stable landing ids.
+        self._label = cactus.labels()
         self._landing: dict[int, int] = {}
-        for v in range(g.n):
-            r = cactus._root(v)
+        for v, r in enumerate(self._label):
             if v < self._landing.get(r, g.n):
                 self._landing[r] = v
         self._edges: dict[tuple[int, int], EdgeClass] | None = None
@@ -331,7 +331,7 @@ class _ComponentAnalysis:
                             support=(u, v),
                             side_dart=d,
                             third_vertex=third,
-                            landing=self._landing[self.c._root(third)],
+                            landing=self._landing[self._label[third]],
                         )
                     )
                 owner = self.c.edge_owner.get((u, v))
@@ -1027,8 +1027,9 @@ def analyze_cactus(
             raise
 
     maximal = True
+    label = cactus.labels()
     for tri in g.triangles:
-        roots = {cactus._root(v) for v in tri.vertices}
+        roots = {label[v] for v in tri.vertices}
         if len(roots) == 3:
             maximal = False
             break

@@ -9,6 +9,11 @@ corners sit in three distinct components, which preserves the identity by
 construction; ``is_valid_cactus`` re-checks any triangle set from scratch
 and serves as the independent oracle for the incremental bookkeeping.
 
+The components live in the package's one union-find,
+``unionfind.DisjointSet``; callers read them through ``labels()``.  The
+move scan's ``_MoveScan._labels`` alone keeps an inline walk, because it
+is the measured hot path of the search.
+
 Removal does a full rebuild of the disjoint-set state.  Swaps remove at
 most two triangles on host graphs of desk scale, so simplicity wins over
 a decremental connectivity structure.
@@ -26,15 +31,13 @@ from .errors import (
     UnknownTriangleError,
 )
 from .plane_graph import PlaneGraph, Triangle
+from .unionfind import DisjointSet
 
 __all__ = [
     "TriangularCactus",
     "SplitComponents",
-    "try_add_triangle",
     "is_valid_cactus",
     "triples_form_cactus",
-    "components",
-    "split_at",
     "cactus_to_triples",
     "cactus_from_triples",
 ]
@@ -78,8 +81,7 @@ class TriangularCactus:
     def __init__(self, host: PlaneGraph, triangles: Iterable[int | Triangle] = ()):
         self.host = host
         self._triangles: set[int] = set()
-        self._parent = list(range(host.n))
-        self._size = [1] * host.n
+        self._uf = DisjointSet(host.n)
         self.edge_owner: dict[tuple[int, int], int] = {}
         self._adj: dict[int, set[int]] = {}
         for t in triangles:
@@ -89,27 +91,6 @@ class TriangularCactus:
                     f"triangle {cand.vertices} does not extend the cactus; "
                     "the triangle set is not a valid cactus"
                 )
-
-    # -- disjoint-set ---------------------------------------------------
-
-    def _root(self, v: int) -> int:
-        parent = self._parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def same_component(self, u: int, v: int) -> bool:
-        return self._root(u) == self._root(v)
-
-    def _union(self, u: int, v: int) -> None:
-        ru, rv = self._root(u), self._root(v)
-        if ru == rv:
-            return
-        if self._size[ru] < self._size[rv]:
-            ru, rv = rv, ru
-        self._parent[rv] = ru
-        self._size[ru] += self._size[rv]
 
     # -- views ------------------------------------------------------------
 
@@ -146,25 +127,30 @@ class TriangularCactus:
     def spanned_vertices(self) -> frozenset[int]:
         return frozenset(self._adj)
 
+    def labels(self) -> list[int]:
+        """One component label per vertex; labels are equal exactly within
+        a component."""
+        return self._uf.labels()
+
+    def same_component(self, u: int, v: int) -> bool:
+        return self._uf.find(u) == self._uf.find(v)
+
     def component_of(self, v: int) -> frozenset[int]:
-        root = self._root(v)
-        return frozenset(
-            u for u in range(self.host.n) if self._root(u) == root
-        )
+        labels = self.labels()
+        return frozenset(u for u, r in enumerate(labels) if r == labels[v])
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """All components, singletons included, ordered by smallest member."""
         buckets: dict[int, list[int]] = {}
-        for v in range(self.host.n):
-            buckets.setdefault(self._root(v), []).append(v)
+        for v, r in enumerate(self.labels()):
+            buckets.setdefault(r, []).append(v)
         return tuple(tuple(b) for b in sorted(buckets.values()))
 
     def copy(self) -> "TriangularCactus":
         dup = TriangularCactus.__new__(TriangularCactus)
         dup.host = self.host
         dup._triangles = set(self._triangles)
-        dup._parent = list(self._parent)
-        dup._size = list(self._size)
+        dup._uf = self._uf.copy()
         dup.edge_owner = dict(self.edge_owner)
         dup._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         return dup
@@ -175,15 +161,13 @@ class TriangularCactus:
         """Add t if its corners lie in three distinct components."""
         cand = _as_triangle(self.host, t)
         u, v, w = cand.vertices
-        if (
-            self._root(u) == self._root(v)
-            or self._root(v) == self._root(w)
-            or self._root(u) == self._root(w)
-        ):
+        uf = self._uf
+        ru, rv, rw = uf.find(u), uf.find(v), uf.find(w)
+        if ru == rv or rv == rw or ru == rw:
             return False
         self._triangles.add(cand.id)
-        self._union(u, v)
-        self._union(u, w)
+        uf.union(ru, rv)
+        uf.union(ru, rw)
         for a, b in cand.edges:
             self.edge_owner[(a, b)] = cand.id
             self._adj.setdefault(a, set()).add(b)
@@ -199,8 +183,7 @@ class TriangularCactus:
             )
         remaining = self._triangles - {cand.id}
         self._triangles = set()
-        self._parent = list(range(self.host.n))
-        self._size = [1] * self.host.n
+        self._uf = DisjointSet(self.host.n)
         self.edge_owner = {}
         self._adj = {}
         for tid in sorted(remaining):
@@ -245,23 +228,6 @@ class TriangularCactus:
         return f"TriangularCactus(delta={self.delta}, host={self.host!r})"
 
 
-# -- module-level operation spellings ------------------------------------
-
-
-def try_add_triangle(c: TriangularCactus, t: int | Triangle) -> bool:
-    return c.try_add_triangle(t)
-
-
-def components(c: TriangularCactus, g: PlaneGraph | None = None) -> tuple[tuple[int, ...], ...]:
-    if g is not None and g is not c.host:
-        raise ValueError("cactus was built over a different host graph")
-    return c.components()
-
-
-def split_at(c: TriangularCactus, t: int | Triangle) -> SplitComponents:
-    return c.split_at(t)
-
-
 def triples_form_cactus(triples: Iterable[Sequence[int]]) -> bool:
     """Rank-identity check on bare vertex triples, no host graph needed.
 
@@ -276,23 +242,14 @@ def triples_form_cactus(triples: Iterable[Sequence[int]]) -> bool:
             if e in edges:
                 return False
             edges.add(e)
-
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    spanned = len(parent)
-    comps = len({find(x) for x in parent})
-    return spanned - comps == 2 * len(triples)
+    # spanned - components is the number of unions that merge two sets.
+    index: dict[int, int] = {}
+    for t in triples:
+        for x in t:
+            index.setdefault(x, len(index))
+    uf = DisjointSet(len(index))
+    merges = sum(uf.union(index[a], index[b]) for a, b in edges)
+    return merges == 2 * len(triples)
 
 
 def is_valid_cactus(g: PlaneGraph, tris: Iterable[int | Triangle]) -> bool:

@@ -39,7 +39,7 @@ from .pipeline import (
     write_csv,
     write_sidecar,
 )
-from .plane_graph import dump_instance, load_instance
+from .plane_graph import dump_instance, load_instance, read_json
 
 __all__ = ["main"]
 
@@ -54,8 +54,7 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _load_cactus_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list):
         raise InstanceFormatError(f"{path}: expected a JSON list of triples")
     triples = []
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
     except (CandidateGuardError, BudgetExceededError) as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return 4
-    except (CactusForgeError, OSError, json.JSONDecodeError) as exc:
+    except (CactusForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

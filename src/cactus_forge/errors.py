@@ -66,14 +66,6 @@ class InvalidCactusError(CactusForgeError, ValueError):
     cycle through several triangles)."""
 
 
-class IterationCapError(CactusForgeError, RuntimeError):
-    """The local search exceeded its configured iteration cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"local search exceeded the iteration cap of {cap} applied moves")
-        self.cap = cap
-
-
 class CandidateGuardError(CactusForgeError, ValueError):
     """The exact solver was handed more candidates than its guard allows."""
 

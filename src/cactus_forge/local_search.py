@@ -35,7 +35,7 @@ from itertools import combinations, islice
 from typing import Iterator
 
 from .cactus import TriangularCactus
-from .errors import IdentityViolationError, IterationCapError
+from .errors import IdentityViolationError
 from .plane_graph import PlaneGraph
 
 __all__ = [
@@ -59,13 +59,14 @@ class SwapMove:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """t: swap size (1 or 2).  seed: greedy shuffle seed.  iteration_cap
-    bounds applied moves; None means floor((n-1)/2), which can never
-    trigger since each move raises the triangle count by one."""
+    """t: swap size (1 or 2).  seed: greedy shuffle seed.
+
+    The search needs no cap on applied moves: each raises the triangle
+    count by exactly one, and it stops at the ceiling of
+    ``TriangularCactus.at_ceiling``."""
 
     t: int = 2
     seed: int = 0
-    iteration_cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,10 @@ class _MoveScan:
     free order, its id and its corners' component labels, and choosing a
     triangle relabels its three labels to one in the entries after it.
     Each stage builds a flat label per vertex from the cactus triangles
-    it keeps; the cactus itself is only read, never copied.
+    it keeps; the cactus itself is only read, never copied.  That build,
+    ``_labels``, is the one union-find outside ``unionfind.DisjointSet``:
+    it is the measured hot path of the search, and a method call per
+    ``find`` would cost more than the walk, so it stays inline.
 
     examined counts the positions of the free order that each level
     walks past, as if every position were tested: the gaps up to each
@@ -113,7 +117,7 @@ class _MoveScan:
         self.pruned = pruned
         self.verts = [t.vertices for t in g.triangles]
         self.kept = c.triangle_ids
-        self.roots = [c._root(v) for v in range(g.n)]
+        self.roots = c.labels()
         in_c = set(self.kept)
         free = [t for t in g.triangles if t.id not in in_c]
         # (position in the free order, triangle id, its three corners)
@@ -137,8 +141,8 @@ class _MoveScan:
         for x in self.kept:
             if x not in removal:
                 a, b, w = verts[x]
-                # Path halving inline: a function call per find costs more
-                # than the walk itself on these shallow trees.
+                # Path halving inline, not DisjointSet: a method call per
+                # find costs more than the walk itself on these shallow trees.
                 while parent[a] != a:
                     parent[a] = a = parent[parent[a]]
                 while parent[b] != b:
@@ -234,9 +238,6 @@ def local_search(
     """Run greedy initialization then repeated t-swaps to a local optimum."""
     if cfg.t not in (1, 2):
         raise ValueError(f"swap size must be 1 or 2, got {cfg.t}")
-    cap = cfg.iteration_cap if cfg.iteration_cap is not None else max(1, (g.n - 1) // 2)
-    if cap < 1:
-        raise ValueError(f"iteration cap must be at least 1, got {cap}")
 
     start = time.perf_counter()
     c = greedy_initial(g, cfg.seed)
@@ -249,8 +250,6 @@ def local_search(
         examined += scan.examined
         if move is None:
             break
-        if len(applied) + 1 > cap:
-            raise IterationCapError(cap)
         apply_move(c, move)
         applied.append(move)
 

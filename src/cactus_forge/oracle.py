@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from .cactus import triples_form_cactus
 from .errors import BudgetExceededError, CandidateGuardError, IdentityViolationError
 from .plane_graph import PlaneGraph
+from .unionfind import DisjointSet
 
 __all__ = [
     "OracleResult",
@@ -75,32 +76,16 @@ def _search(
     edge_lists = [_edges_of(t) for t in triples]
     total = len(triples)
 
-    vertices = {v for t in triples for v in t}
-    parent = {v: v for v in vertices}
-    size = {v: 1 for v in vertices}
-    trail: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        trail.append(b)
-
-    def undo_one() -> None:
-        b = trail.pop()
-        a = parent[b]
-        size[a] -= size[b]
-        parent[b] = b
+    # The union-find runs over the vertices relabeled 0..k-1; the
+    # witness keeps the original triples.
+    index = {v: i for i, v in enumerate(sorted({v for t in triples for v in t}))}
+    local = [tuple(index[v] for v in t) for t in triples]
+    uf = DisjointSet(len(index))
+    find, union, undo = uf.find, uf.union, uf.undo
 
     used_edges: set[tuple[int, int]] = set()
     chosen: list[Triple] = []
-    comps = len(vertices)
+    comps = len(index)
     best = 0
     best_witness: tuple[Triple, ...] = ()
     nodes = 0
@@ -115,8 +100,8 @@ def _search(
             i = ~i
             chosen.pop()
             used_edges.difference_update(edge_lists[i])
-            undo_one()  # an inclusion made exactly two unions
-            undo_one()
+            undo()  # an inclusion made exactly two unions
+            undo()
             comps += 2
             continue
         nodes += 1
@@ -134,11 +119,11 @@ def _search(
         if len(chosen) + compatible <= best or i == total:
             continue
         stack.append(i + 1)
-        u, v, w = triples[i]
+        u, v, w = local[i]
         ru, rv, rw = find(u), find(v), find(w)
         if ru != rv and rv != rw and ru != rw:
             union(ru, rv)
-            union(find(u), rw)
+            union(ru, rw)
             comps -= 2
             used_edges.update(edge_lists[i])
             chosen.append(triples[i])

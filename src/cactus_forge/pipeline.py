@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import analyzer
 from .analyzer import CactusReport, analyze_cactus
-from .cactus import TriangularCactus, cactus_to_triples
+from .cactus import cactus_to_triples
 from .errors import (
     BudgetExceededError,
     CactusForgeError,
@@ -37,6 +37,7 @@ from .generators import GeneratorSpec, build
 from .local_search import SearchConfig, greedy_initial, local_search
 from .oracle import CANDIDATE_GUARD, exact_beta_faces
 from .plane_graph import PlaneGraph, plane_subgraph
+from .unionfind import DisjointSet
 
 __all__ = [
     "MpsResult",
@@ -91,24 +92,6 @@ class MptResult:
     meets_one_sixth: bool | None  # None when t < 2 or f3_internal is 0
 
 
-def _cactus_partition_roots(g: PlaneGraph, c: TriangularCactus) -> list[int]:
-    root: list[int] = list(range(g.n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for tid in c.triangle_ids:
-        a, b, d = g.triangles[tid].vertices
-        for u, v in ((a, b), (a, d)):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                root[ru] = rv
-    return [find(v) for v in range(g.n)]
-
-
 def mps_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MpsResult:
     """Cactus edges plus a lexicographically-first inter-component forest.
 
@@ -121,19 +104,12 @@ def mps_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MpsResult
     for tid in c.triangle_ids:
         kept.update(g.triangles[tid].edges)
 
-    root = _cactus_partition_roots(g, c)
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
+    uf = DisjointSet(g.n)
+    for v, r in enumerate(c.labels()):
+        uf.union(v, r)
     for u, v in sorted(g.edge_set):
-        ru, rv = find(u), find(v)
-        if ru != rv:
+        if uf.union(u, v):
             kept.add((u, v) if u < v else (v, u))
-            root[ru] = rv
 
     delta = len(c)
     expected = g.n - g.comp_count + delta

@@ -35,38 +35,22 @@ from .errors import (
     ParallelEdgeError,
     TooFewVerticesError,
 )
+from .unionfind import DisjointSet
 
 __all__ = [
-    "Dart",
     "Face",
     "Triangle",
     "FaceProvenance",
     "PlaneGraph",
-    "build_from_rotation",
-    "triangular_faces",
-    "induced_plane_subgraph",
+    "plane_subgraph",
     "missing_edges_to_triangulation",
     "relabeled",
     "parse_instance",
+    "read_json",
     "load_instance",
     "instance_to_dict",
     "dump_instance",
 ]
-
-
-@dataclass(frozen=True)
-class Dart:
-    """One directed half of an edge.
-
-    next_at_vertex is the dart's counterclockwise successor among the
-    darts leaving the same origin.
-    """
-
-    id: int
-    origin: int
-    head: int
-    twin: int
-    next_at_vertex: int
 
 
 @dataclass(frozen=True)
@@ -413,25 +397,9 @@ class PlaneGraph:
     # ------------------------------------------------------------------
     # plain accessors
 
-    @property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(
-            Dart(
-                id=d,
-                origin=self.tail[d],
-                head=self.head[d],
-                twin=self.twin[d],
-                next_at_vertex=self.next_at_vertex[d],
-            )
-            for d in range(self.dart_count)
-        )
-
     def dart_id(self, u: int, v: int) -> int:
         """Dart id of u->v; KeyError if {u, v} is not an edge."""
         return self._dart_of[(u, v)]
-
-    def has_dart(self, u: int, v: int) -> bool:
-        return (u, v) in self._dart_of
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._dart_of
@@ -483,15 +451,6 @@ class PlaneGraph:
         )
 
 
-def build_from_rotation(
-    n: int,
-    adjacency: Sequence[Sequence[int]],
-    outer: tuple[int, int] | None,
-) -> PlaneGraph:
-    """Validate a rotation system and assemble the plane graph."""
-    return PlaneGraph(n, adjacency, outer)
-
-
 def _collect_triangles(g: PlaneGraph) -> tuple[Triangle, ...]:
     by_edges: dict[tuple, list[int]] = {}
     for f in g.faces:
@@ -522,12 +481,6 @@ def _collect_triangles(g: PlaneGraph) -> tuple[Triangle, ...]:
             )
         )
     return tuple(records)
-
-
-def triangular_faces(g: PlaneGraph) -> tuple[Triangle, ...]:
-    """Candidate triangles of g, deduplicated by edge triple and ordered by
-    vertex triple."""
-    return g.triangles
 
 
 def missing_edges_to_triangulation(g: PlaneGraph) -> int:
@@ -596,25 +549,16 @@ def plane_subgraph(
         for h in to_host
     )
 
-    parent = list(range(len(g.faces)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    regions = DisjointSet(len(g.faces))
     for d in range(g.dart_count):
         if d < g.twin[d] and not kept(d):
-            a, b = find(g.face_of_dart[d]), find(g.face_of_dart[g.twin[d]])
-            if a != b:
-                parent[a] = b
+            regions.union(g.face_of_dart[d], g.face_of_dart[g.twin[d]])
+    region = regions.labels()
 
     core = _build_core(len(to_host), rotations)
 
     if not core.tail:
-        roots = {find(fid) for fid in range(len(g.faces))}
-        if len(roots) != 1:
+        if len(set(region)) != 1:
             raise IdentityViolationError(
                 "edgeless subgraph left more than one host region"
             )
@@ -632,9 +576,9 @@ def plane_subgraph(
     for w, walk in enumerate(core.walks):
         d = walk[0]
         hd = g.dart_id(to_host[core.tail[d]], to_host[core.head[d]])
-        group_of_root.setdefault(find(g.face_of_dart[hd]), []).append(w)
+        group_of_root.setdefault(region[g.face_of_dart[hd]], []).append(w)
 
-    outer_root = find(g.outer_face_id)
+    outer_root = region[g.outer_face_id]
     if outer_root not in group_of_root:
         # A drawing with at least one edge always has edges on its outer
         # boundary, so the outer region must have picked up a walk.
@@ -653,13 +597,12 @@ def plane_subgraph(
     for f in sub.faces:
         d = f.boundary[0]
         hd = g.dart_id(to_host[sub.tail[d]], to_host[sub.head[d]])
-        root_of_sub_face[f.id] = find(g.face_of_dart[hd])
+        root_of_sub_face[f.id] = region[g.face_of_dart[hd]]
     sub_of_root = {root: fid for fid, root in root_of_sub_face.items()}
 
     merged: list[set[int]] = [set() for _ in sub.faces]
     sub_of_host = []
-    for hf in range(len(g.faces)):
-        root = find(hf)
+    for hf, root in enumerate(region):
         fid = sub_of_root.get(root)
         if fid is None:
             raise IdentityViolationError(
@@ -679,13 +622,6 @@ def plane_subgraph(
         to_sub_vertex=to_sub,
     )
     return sub, prov
-
-
-def induced_plane_subgraph(
-    g: PlaneGraph, s: Iterable[int]
-) -> tuple[PlaneGraph, FaceProvenance]:
-    """Restrict g to the vertex set s, keeping the inherited drawing."""
-    return plane_subgraph(g, s)
 
 
 def relabeled(g: PlaneGraph, perm: Sequence[int]) -> PlaneGraph:
@@ -743,14 +679,19 @@ def parse_instance(data: object) -> PlaneGraph:
     return PlaneGraph(n, rotations, outer)
 
 
-def load_instance(path) -> PlaneGraph:
-    """Read and validate a JSON instance file."""
+def read_json(path) -> object:
+    """Load a JSON file; undecodable or over-nested content is an
+    InstanceFormatError that names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_instance(data)
+
+
+def load_instance(path) -> PlaneGraph:
+    """Read and validate a JSON instance file."""
+    return parse_instance(read_json(path))
 
 
 def instance_to_dict(g: PlaneGraph) -> dict:

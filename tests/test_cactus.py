@@ -9,7 +9,7 @@ from cactus_forge import (
     cactus_to_triples,
     is_valid_cactus,
 )
-from cactus_forge.cactus import split_at, triples_form_cactus
+from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.errors import TriangleNotInCactusError, UnknownTriangleError
 
 
@@ -92,7 +92,7 @@ def test_remove_triangle(heavy_path):
 def test_split_at_parts(heavy_path):
     c = heavy_path.cactus
     middle = [t.id for t in heavy_path.g.triangles if t.vertices == (1, 2, 5)][0]
-    sp = split_at(c, middle)
+    sp = c.split_at(middle)
     assert sp.triangle == middle
     assert sp.parts[1] == {0, 1, 4}
     assert sp.parts[2] == {2, 3, 6}
@@ -106,7 +106,7 @@ def test_split_requires_membership(heavy_path):
     outsider = [t.id for t in heavy_path.g.triangles if t.vertices not in
                 {(0, 1, 4), (1, 2, 5), (2, 3, 6)}][0]
     with pytest.raises(TriangleNotInCactusError):
-        split_at(c, outsider)
+        c.split_at(outsider)
 
 
 def test_triples_roundtrip(heavy_pair):

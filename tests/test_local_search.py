@@ -16,7 +16,6 @@ from cactus_forge import (
     verify_local_optimality,
 )
 from cactus_forge.cli import main
-from cactus_forge.errors import IterationCapError
 from cactus_forge.local_search import SwapMove, _MoveScan, apply_move
 from cactus_forge.plane_graph import dump_instance
 
@@ -146,8 +145,6 @@ def test_handmade_optima_survive_verification(heavy_pair, heavy_path):
 def test_config_validation(rmp16, tmp_path, capsys):
     with pytest.raises(ValueError):
         local_search(rmp16, SearchConfig(t=3))
-    with pytest.raises(ValueError):
-        local_search(rmp16, SearchConfig(iteration_cap=0))
     # The pivot rule is gone; the flag is a usage error.
     path = tmp_path / "rmp16.json"
     dump_instance(rmp16, path)
@@ -155,13 +152,6 @@ def test_config_validation(rmp16, tmp_path, capsys):
         main(["solve", "--in", str(path), "--pivot", "first"])
     assert exc.value.code == 2
     assert "--pivot" in capsys.readouterr().err
-
-
-def test_iteration_cap_triggers():
-    # this instance needs two swaps after the greedy pass
-    g = build_instance(GeneratorSpec("random_maximal_planar", n=64, seed=60))
-    with pytest.raises(IterationCapError):
-        local_search(g, SearchConfig(iteration_cap=1))
 
 
 # Triangle ids, moves_examined and the count of a final no-move pruned
@@ -233,7 +223,7 @@ class _ReferenceScan:
         self.pruned = pruned
         self.verts = [t.vertices for t in g.triangles]
         self.kept = c.triangle_ids
-        self.roots = [c._root(v) for v in range(g.n)]
+        self.roots = c.labels()
         in_c = set(self.kept)
         self.free = [t.id for t in g.triangles if t.id not in in_c]
         self.examined = 0

@@ -17,6 +17,7 @@ from cactus_forge import (
     build_instance,
     mps_pipeline,
     mpt_pipeline,
+    plane_subgraph,
     verify_corpus,
 )
 from cactus_forge import oracle, pipeline
@@ -33,6 +34,75 @@ from cactus_forge.pipeline import (
 @pytest.fixture(scope="module")
 def octa():
     return build_instance(GeneratorSpec("platonic", name="octahedron"))
+
+
+# Which forest edges mps keeps, and how mpt's re-embedding merges the
+# host's faces (sub_of_host_face; merged_host_faces is its inverse), on the
+# octahedron, the disconnected bowtie and random triangulations at seed 1.
+# The counts and ratios tested below would not notice a different forest.
+PINNED_MPS_EDGES = {
+    "octahedron": (
+        (0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 5),
+    ),
+    "bowtie": (
+        (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5),
+    ),
+    16: (
+        (0, 1), (0, 2), (0, 5), (0, 6), (0, 8), (0, 9), (0, 10), (1, 2), (1, 3),
+        (1, 13), (3, 7), (3, 12), (3, 13), (4, 14), (4, 15), (6, 8), (7, 12), (9, 10),
+        (10, 11), (10, 14), (11, 14), (14, 15),
+    ),
+    32: (
+        (0, 2), (0, 8), (0, 9), (0, 10), (0, 12), (0, 14), (0, 16), (0, 17), (0, 20),
+        (0, 21), (0, 22), (0, 25), (0, 26), (0, 27), (1, 2), (1, 29), (2, 4), (2, 12),
+        (2, 29), (2, 30), (3, 4), (3, 19), (4, 7), (4, 11), (4, 15), (4, 18), (4, 19),
+        (4, 28), (4, 30), (5, 13), (5, 28), (6, 9), (6, 24), (7, 28), (8, 10), (9, 24),
+        (9, 27), (11, 15), (11, 23), (11, 31), (13, 28), (14, 26), (16, 20), (17, 22),
+        (21, 25), (23, 31),
+    ),
+    48: (
+        (0, 6), (0, 8), (0, 17), (0, 22), (0, 40), (0, 44), (1, 5), (1, 21), (1, 29),
+        (1, 33), (1, 36), (1, 39), (1, 41), (1, 44), (2, 7), (2, 30), (3, 4), (3, 26),
+        (4, 7), (4, 15), (4, 26), (5, 13), (5, 20), (5, 35), (5, 39), (5, 46), (6, 8),
+        (6, 12), (6, 27), (7, 15), (7, 28), (7, 29), (7, 30), (7, 37), (7, 43), (8, 9),
+        (8, 11), (8, 23), (8, 24), (8, 31), (9, 24), (10, 18), (10, 31), (12, 27),
+        (12, 45), (12, 47), (13, 35), (14, 26), (14, 38), (16, 25), (16, 33), (17, 44),
+        (18, 19), (18, 31), (18, 34), (19, 32), (19, 34), (19, 42), (20, 46), (21, 33),
+        (22, 40), (23, 31), (25, 33), (26, 38), (28, 29), (29, 41), (32, 42), (36, 44),
+        (37, 43), (45, 47),
+    ),
+}
+PINNED_MPT_SUB_OF_HOST_FACE = {
+    "octahedron": (
+        0, 0, 0, 1, 0, 2, 0, 0,
+    ),
+    "bowtie": (
+        0, 1, 2,
+    ),
+    16: (
+        0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 7,
+        0, 0,
+    ),
+    32: (
+        1, 0, 1, 2, 1, 3, 1, 1, 4, 1, 1, 5, 1, 1, 6, 1, 7, 1, 8, 1, 1, 1, 1, 1, 9, 1,
+        1, 1, 10, 1, 1, 1, 1, 1, 1, 11, 1, 1, 1, 12, 1, 1, 1, 1, 13, 1, 1, 14, 1, 1, 1,
+        1, 1, 1, 15, 1, 1, 1, 1, 1,
+    ),
+    48: (
+        1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 4, 1, 1, 1, 5, 1, 6, 1,
+        1, 7, 1, 1, 1, 8, 1, 9, 1, 1, 1, 1, 1, 1, 10, 1, 1, 11, 1, 1, 12, 1, 1, 13, 1,
+        1, 1, 14, 1, 15, 1, 1, 1, 1, 1, 1, 16, 1, 17, 1, 1, 1, 1, 1, 1, 1, 18, 1, 1,
+        19, 1, 20, 1, 1, 21, 1, 1, 22, 1, 1, 23, 1, 1, 1, 1, 1,
+    ),
+}
+
+
+def _pinned_graph(key, bowtie):
+    if key == "bowtie":
+        return bowtie
+    if key == "octahedron":
+        return build_instance(GeneratorSpec("platonic", name="octahedron"))
+    return build_instance(GeneratorSpec("random_maximal_planar", n=key, seed=1))
 
 
 class TestMps:
@@ -65,6 +135,10 @@ class TestMps:
         r = mps_pipeline(octa)
         assert all(octa.has_edge(u, v) for u, v in r.edges)
 
+    @pytest.mark.parametrize("key", list(PINNED_MPS_EDGES))
+    def test_pinned_forest_edges(self, key, bowtie):
+        assert mps_pipeline(_pinned_graph(key, bowtie)).edges == PINNED_MPS_EDGES[key]
+
 
 class TestMpt:
     def test_octahedron(self, octa):
@@ -93,6 +167,25 @@ class TestMpt:
         g = build_instance(GeneratorSpec("random_maximal_planar", n=20, seed=3))
         r = mpt_pipeline(g, SearchConfig(t=1))
         assert r.meets_one_sixth is None
+
+    @pytest.mark.parametrize("key", list(PINNED_MPT_SUB_OF_HOST_FACE))
+    def test_pinned_reembedding_provenance(self, key, bowtie, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            sub, prov = plane_subgraph(*args)
+            seen.append(prov)
+            return sub, prov
+
+        monkeypatch.setattr(pipeline, "plane_subgraph", spy)
+        mpt_pipeline(_pinned_graph(key, bowtie))
+        (prov,) = seen
+        expected = PINNED_MPT_SUB_OF_HOST_FACE[key]
+        assert prov.sub_of_host_face == expected
+        assert prov.merged_host_faces == tuple(
+            frozenset(hf for hf, sf in enumerate(expected) if sf == i)
+            for i in range(max(expected) + 1)
+        )
 
 
 class TestWorkerCount:
@@ -361,6 +454,22 @@ class TestCli:
         assert main(["solve", "--in", str(bad)]) == 4
         assert main(["analyze", "--in", str(bad), "--cactus", str(bad)]) == 4
         capsys.readouterr()
+        # Undecodable bytes and nesting past the recursion limit are bad
+        # input too, named by path, not a traceback.
+        octa = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff\xfe")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        for path in (not_utf8, deep):
+            for argv in (
+                ["solve", "--in", str(path)],
+                ["oracle", "--in", str(path)],
+                ["analyze", "--in", str(octa), "--cactus", str(path)],
+            ):
+                capsys.readouterr()
+                assert main(argv) == 4
+                assert str(path) in capsys.readouterr().err
 
     def test_boolean_vertex_ids_are_rejected(self, tmp_path, capsys):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")

@@ -11,7 +11,6 @@ from cactus_forge import (
     missing_edges_to_triangulation,
     plane_subgraph,
     relabeled,
-    triangular_faces,
 )
 from cactus_forge.errors import (
     AsymmetricAdjacencyError,
@@ -56,9 +55,6 @@ class TestConstruction:
         for t in k4.triangles:
             assert t.id == k4.triangles.index(t)
             assert k4.faces[t.face_id].vertices is not None
-
-    def test_triangular_faces_helper(self, k4):
-        assert triangular_faces(k4) == k4.triangles
 
     def test_euler_formula(self, triangle, k4, double_ear, prism9, bowtie):
         for g in (triangle, k4, double_ear, prism9):

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .local_search import verify_local_optimality
 from .plane_graph import FaceProvenance, PlaneGraph, plane_subgraph
+from .unionfind import DisjointSet
 
 __all__ = [
     "CrossTriangle",
@@ -711,18 +712,7 @@ class _ComponentAnalysis:
                 f"{recount} = {p} + {from_cactus} + {a1} + 2*{a2} + {survive_total}"
             )
 
-        # Outer boundary of the component subgraph (before chord removal).
-        sub, sprov = plane_subgraph(g, s)
-        occupied_darts = {
-            cr.side_dart for ec in edges.values() for cr in ec.crosses
-        }
-        outer_len = sub.outer_face.length
-        outer_occ = 0
-        for walk in sub.outer_face.walks:
-            for d in walk:
-                hu = sprov.to_host_vertex[sub.tail[d]]
-                hv = sprov.to_host_vertex[sub.head[d]]
-                outer_occ += g.dart_id(hu, hv) in occupied_darts
+        outer_len, outer_occ = self._outer_boundary()
         outer_free = outer_len - outer_occ
 
         n_supers = len(supers)
@@ -882,6 +872,35 @@ class _ComponentAnalysis:
             notes=tuple(notes),
         )
 
+    def _outer_boundary(self) -> tuple[int, int]:
+        """Length and occupied sides of the outer face of the component
+        subgraph (before chord removal).
+
+        Deleting the edges outside the component merges the host faces on
+        their two sides; the outer face is the region holding the host's
+        outer face, and its boundary is the component's darts in it.
+        """
+        g, s = self.g, self.s
+        tail, head = g.tail, g.head
+        face_of = g.face_of_dart
+        regions = DisjointSet(len(g.faces))
+        inside = []
+        for d in range(g.dart_count):
+            if tail[d] in s and head[d] in s:
+                inside.append(d)
+            elif d < g.twin[d]:
+                regions.union(face_of[d], face_of[g.twin[d]])
+        if not inside:
+            return 0, 0
+        outer = regions.find(g.outer_face_id)
+        boundary = [d for d in inside if regions.find(face_of[d]) == outer]
+        if not boundary:
+            raise IdentityViolationError(
+                "outer region of the component subgraph has no boundary dart"
+            )
+        occupied = {cr.side_dart for ec in self.edges().values() for cr in ec.crosses}
+        return len(boundary), sum(d in occupied for d in boundary)
+
     def _graded_supers(
         self, supers: tuple[SuperFace, ...], outer_free: int
     ) -> tuple[SuperFace, ...]:
@@ -1008,10 +1027,19 @@ def analyze_cactus(
     corners in some component, so the per-component anchored counts sum
     to the number of triangular faces and 6 * (number of triangles) is an
     upper bound certificate for all of them.
+
+    With verified=None the cactus is verified first, and one that admits
+    an improving move of size at most 2 raises NotLocallyOptimalError with
+    that move as its witness.  verified=True or False is taken on trust.
     """
-    witness = None
     if verified is None:
         verified, witness = verify_local_optimality(g, cactus, 2)
+        if not verified:
+            raise NotLocallyOptimalError(
+                f"removing triangles {list(witness.remove)} and adding "
+                f"{list(witness.add)} gives a larger cactus",
+                witness=witness,
+            )
 
     reports = []
     singletons = 0
@@ -1019,12 +1047,7 @@ def analyze_cactus(
         if len(comp) == 1:
             singletons += 1
             continue
-        try:
-            reports.append(component_report(g, cactus, comp, verified=verified))
-        except NotLocallyOptimalError as exc:
-            if exc.witness is None and witness is not None:
-                raise NotLocallyOptimalError(str(exc), witness=witness) from None
-            raise
+        reports.append(component_report(g, cactus, comp, verified=verified))
 
     maximal = True
     label = cactus.labels()

@@ -10,9 +10,14 @@ construction; ``is_valid_cactus`` re-checks any triangle set from scratch
 and serves as the independent oracle for the incremental bookkeeping.
 
 The components live in the package's one union-find,
-``unionfind.DisjointSet``; callers read them through ``labels()``.  The
-move scan's ``_MoveScan._labels`` alone keeps an inline walk, because it
-is the measured hot path of the search.
+``unionfind.DisjointSet``; callers read them through ``labels()``.
+
+``tour()`` walks the cactus's vertex-triangle forest once in preorder
+(Tarjan & Vishkin's Euler-tour technique).  Every tree of that forest,
+and every subtree hanging off a triangle's child corner, is then one
+contiguous slice of the tour.  Deleting triangles splits off exactly
+those slices, so the move scan labels a stage and ``split_at`` reports a
+triangle's three parts with slice copies instead of a walk per call.
 
 Removal does a full rebuild of the disjoint-set state.  Swaps remove at
 most two triangles on host graphs of desk scale, so simplicity wins over
@@ -21,9 +26,10 @@ a decremental connectivity structure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InvalidCactusError,
@@ -36,6 +42,7 @@ from .unionfind import DisjointSet
 __all__ = [
     "TriangularCactus",
     "SplitComponents",
+    "EulerTour",
     "is_valid_cactus",
     "triples_form_cactus",
     "cactus_to_triples",
@@ -52,6 +59,42 @@ class SplitComponents:
 
     triangle: int
     parts: Mapping[int, frozenset[int]]
+
+
+class EulerTour(NamedTuple):
+    """Preorder of a cactus's vertex-triangle forest; read-only.
+
+    Each tree is rooted at its smallest vertex, and a triangle's two
+    corners other than the one it is reached from are its child corners.
+    order lists the vertices in preorder and pos inverts it.  base[i] is
+    the position of the root of the tree holding position i, so it labels
+    components, and one tree spans the positions where base equals its
+    root's position.  slices maps each cactus triangle to the [start,
+    end) position ranges of its two child corners' subtrees, the second
+    starting where the first ends.  Trees follow one another, so base is
+    non-decreasing and a child-corner slice never holds a root.
+    """
+
+    order: list[int]
+    pos: list[int]
+    base: list[int]
+    slices: dict[int, tuple[tuple[int, int], tuple[int, int]]]
+
+    def labels_without(self, removal: Iterable[int]) -> list[int]:
+        """One component label per tour position for the cactus minus the
+        triangles in `removal`.
+
+        Each removed triangle splits off its two child slices.  The slices
+        are nested or disjoint, so assigning them in ascending start order
+        lets an inner slice overwrite the outer one it sits in.  A slice
+        is labelled by its start, which no other slice or tree shares.
+        """
+        label = self.base[:]
+        cuts = [cut for x in removal for cut in self.slices[x]]
+        cuts.sort()
+        for s, e in cuts:
+            label[s:e] = [s] * (e - s)
+        return label
 
 
 def _as_triangle(host: PlaneGraph, t: int | Triangle) -> Triangle:
@@ -83,7 +126,7 @@ class TriangularCactus:
         self._triangles: set[int] = set()
         self._uf = DisjointSet(host.n)
         self.edge_owner: dict[tuple[int, int], int] = {}
-        self._adj: dict[int, set[int]] = {}
+        self._tour: EulerTour | None = None
         for t in triangles:
             if not self.try_add_triangle(t):
                 cand = _as_triangle(host, t)
@@ -125,7 +168,7 @@ class TriangularCactus:
         return len(self._triangles)
 
     def spanned_vertices(self) -> frozenset[int]:
-        return frozenset(self._adj)
+        return frozenset(v for edge in self.edge_owner for v in edge)
 
     def labels(self) -> list[int]:
         """One component label per vertex; labels are equal exactly within
@@ -152,8 +195,58 @@ class TriangularCactus:
         dup._triangles = set(self._triangles)
         dup._uf = self._uf.copy()
         dup.edge_owner = dict(self.edge_owner)
-        dup._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        dup._tour = None
         return dup
+
+    def tour(self) -> EulerTour:
+        """The preorder of the vertex-triangle forest, built once per state."""
+        if self._tour is None:
+            self._tour = self._build_tour()
+        return self._tour
+
+    def _build_tour(self) -> EulerTour:
+        n = self.host.n
+        tris = self.host.triangles
+        incident: list[list[int]] = [[] for _ in range(n)]
+        for tid in sorted(self._triangles):
+            a, b, w = tris[tid].vertices
+            incident[a].append(tid)
+            incident[b].append(tid)
+            incident[w].append(tid)
+        order: list[int] = []
+        pos = [-1] * n
+        base = [0] * n
+        via = [-1] * n  # the triangle each vertex is reached through
+        # Per triangle: its id and child corners in push order; the stack
+        # holds ~index as the marker that both subtrees are laid out.
+        pending: list[tuple[int, int, int]] = []
+        slices: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+        for root in range(n):
+            if pos[root] >= 0:
+                continue
+            r = len(order)
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                if v < 0:
+                    t, c1, c2 = pending[~v]
+                    # c2 was pushed last, so its subtree came first.
+                    s, m = pos[c2], pos[c1]
+                    slices[t] = ((s, m), (m, len(order)))
+                    continue
+                pos[v] = len(order)
+                order.append(v)
+                for t in incident[v]:
+                    if t != via[v]:
+                        a, b, w = tris[t].vertices
+                        c1, c2 = (b, w) if v == a else (a, w) if v == b else (a, b)
+                        via[c1] = via[c2] = t
+                        stack.append(~len(pending))
+                        pending.append((t, c1, c2))
+                        stack.append(c1)
+                        stack.append(c2)
+            base[r:len(order)] = [r] * (len(order) - r)
+        return EulerTour(order, pos, base, slices)
 
     # -- mutation -----------------------------------------------------------
 
@@ -166,12 +259,11 @@ class TriangularCactus:
         if ru == rv or rv == rw or ru == rw:
             return False
         self._triangles.add(cand.id)
+        self._tour = None
         uf.union(ru, rv)
         uf.union(ru, rw)
         for a, b in cand.edges:
             self.edge_owner[(a, b)] = cand.id
-            self._adj.setdefault(a, set()).add(b)
-            self._adj.setdefault(b, set()).add(a)
         return True
 
     def remove_triangle(self, t: int | Triangle) -> None:
@@ -185,7 +277,7 @@ class TriangularCactus:
         self._triangles = set()
         self._uf = DisjointSet(self.host.n)
         self.edge_owner = {}
-        self._adj = {}
+        self._tour = None
         for tid in sorted(remaining):
             if not self.try_add_triangle(tid):
                 raise AssertionError(
@@ -202,26 +294,21 @@ class TriangularCactus:
             raise TriangleNotInCactusError(
                 f"triangle {cand.vertices} is not in the cactus"
             )
-        dropped = set(cand.edges)
+        order, _, base, slices = self.tour()
+        (s, m), (_, e) = slices[cand.id]
+        # The component is the run of positions sharing t's root.
+        r = base[s]
+        end = bisect_right(base, r, s)
         parts: dict[int, frozenset[int]] = {}
-        claimed: set[int] = set()
         for corner in cand.vertices:
-            seen = {corner}
-            stack = [corner]
-            while stack:
-                x = stack.pop()
-                for y in self._adj.get(x, ()):
-                    pair = (x, y) if x < y else (y, x)
-                    if pair in dropped or y in seen:
-                        continue
-                    seen.add(y)
-                    stack.append(y)
-            parts[corner] = frozenset(seen)
-            if claimed & seen:
-                raise AssertionError("split parts overlap; cactus state corrupt")
-            claimed |= seen
-        if claimed != self.component_of(cand.vertices[0]):
-            raise AssertionError("split parts do not cover the component")
+            if corner == order[s]:
+                parts[corner] = frozenset(order[s:m])
+            elif corner == order[m]:
+                parts[corner] = frozenset(order[m:e])
+            else:
+                parts[corner] = frozenset(order[r:s] + order[e:end])
+        if sum(len(p) for p in parts.values()) != end - r:
+            raise AssertionError("split parts do not partition the component")
         return SplitComponents(triangle=cand.id, parts=parts)
 
     def __repr__(self) -> str:

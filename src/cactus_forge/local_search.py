@@ -11,9 +11,12 @@ move can improve it.
 Each removal set X is one stage of the scan.  A stage labels every
 vertex with its component in the cactus minus X, lists the free
 triangles whose corners carry three distinct labels, and narrows that
-list level by level: choosing an add-triangle merges its three labels
-into one, and the next level keeps only the later entries whose labels
-are still distinct.  ``moves_examined`` counts the free triangles a
+list level by level.  The labels come from one Euler tour of the
+cactus per scan: removing X splits off slices of the tour, so a stage
+copies the cactus's labels and relabels two to four slices.  In the
+narrowing, choosing an add-triangle merges its three labels into one,
+and the next level keeps only the later entries whose labels are still
+distinct.  ``moves_examined`` counts the free triangles a
 per-position walk would visit, one per position of the free order at
 each level, whether or not the narrowed list still holds it.
 
@@ -101,11 +104,14 @@ class _MoveScan:
     its parent's list: an entry holds a free triangle's position in the
     free order, its id and its corners' component labels, and choosing a
     triangle relabels its three labels to one in the entries after it.
-    Each stage builds a flat label per vertex from the cactus triangles
-    it keeps; the cactus itself is only read, never copied.  That build,
-    ``_labels``, is the one union-find outside ``unionfind.DisjointSet``:
-    it is the measured hot path of the search, and a method call per
-    ``find`` would cost more than the walk, so it stays inline.
+
+    Labels live on the cactus's Euler tour (``TriangularCactus.tour``):
+    corners are stored as tour positions, and the cactus's own labels
+    are the tour's ``base``.  Removing a triangle splits off the subtrees
+    of its two child corners, each one slice of the tour, so a stage's
+    labels are a copy of ``base`` plus two to four slice assignments
+    (``EulerTour.labels_without``).  The cactus is only read, never
+    copied.
 
     examined counts the positions of the free order that each level
     walks past, as if every position were tested: the gaps up to each
@@ -113,15 +119,17 @@ class _MoveScan:
     """
 
     def __init__(self, g: PlaneGraph, c: TriangularCactus, pruned: bool):
-        self.n = g.n
         self.pruned = pruned
-        self.verts = [t.vertices for t in g.triangles]
         self.kept = c.triangle_ids
-        self.roots = c.labels()
+        self.tour = c.tour()
+        at = self.tour.pos
         in_c = set(self.kept)
         free = [t for t in g.triangles if t.id not in in_c]
-        # (position in the free order, triangle id, its three corners)
-        self.free = [(pos, t.id, *t.vertices) for pos, t in enumerate(free)]
+        # (position in the free order, triangle id, its corners' tour positions)
+        self.free = [
+            (i, t.id, at[t.vertices[0]], at[t.vertices[1]], at[t.vertices[2]])
+            for i, t in enumerate(free)
+        ]
         self.examined = 0
 
     def moves(self, t: int) -> Iterator[SwapMove]:
@@ -134,37 +142,20 @@ class _MoveScan:
                 for pair in combinations(ids, 2):
                     yield from self._stage(pair)
 
-    def _labels(self, removal: tuple[int, ...]) -> list[int]:
-        """One component label per vertex, for the cactus minus `removal`."""
-        verts = self.verts
-        parent = list(range(self.n))
-        for x in self.kept:
-            if x not in removal:
-                a, b, w = verts[x]
-                # Path halving inline, not DisjointSet: a method call per
-                # find costs more than the walk itself on these shallow trees.
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                while parent[w] != w:
-                    parent[w] = w = parent[parent[w]]
-                parent[b] = parent[w] = a
-        for v in range(self.n):
-            r = parent[v]
-            while parent[r] != r:
-                r = parent[r]
-            parent[v] = r
-        return parent
-
     def _stage(self, removal: tuple[int, ...]) -> Iterator[SwapMove]:
-        label = self._labels(removal)
+        tour = self.tour
+        label = tour.labels_without(removal)
         free = self.free
         end = len(free)
         if self.pruned and removal:
-            disturbed = {self.roots[self.verts[x][0]] for x in removal}
-            touched = bytearray(r in disturbed for r in self.roots)
-            free = [f for f in free if touched[f[2]] or touched[f[3]] or touched[f[4]]]
+            # The components of the whole cactus that hold the removal set.
+            base = tour.base
+            disturbed = {base[tour.slices[x][0][0]] for x in removal}
+            free = [
+                f for f in free
+                if base[f[2]] in disturbed or base[f[3]] in disturbed
+                or base[f[4]] in disturbed
+            ]
         # Level 0: the free triangles that are addable on their own.
         level = [
             (pos, y, la, lb, lw)

@@ -347,15 +347,20 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     d_greedy = d1 = d2 = None
     beta = None
     slack = None
-    t_solve = t_analyze = t_verify = t_oracle = 0.0
+    t_greedy = t_ls1 = t_ls2 = t_analyze = t_verify = t_oracle = 0.0
     try:
         start = time.perf_counter()
         d_greedy = len(greedy_initial(g, cfg.seed))
+        greedy_at = time.perf_counter()
         c1, _ = local_search(g, SearchConfig(t=1, seed=cfg.seed))
         d1 = len(c1)
+        ls1_at = time.perf_counter()
         c2, _ = local_search(g, SearchConfig(t=2, seed=cfg.seed))
         d2 = len(c2)
-        t_solve = time.perf_counter() - start
+        ls2_at = time.perf_counter()
+        t_greedy = greedy_at - start
+        t_ls1 = ls1_at - greedy_at
+        t_ls2 = ls2_at - ls1_at
 
         slack = 6 * d2 - g.f3_internal
         if slack < 0:
@@ -408,8 +413,12 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
         failures.append(f"error: {type(exc).__name__}: {exc}")
         sidecar["traceback"] = traceback.format_exc()
 
+    t_solve = t_greedy + t_ls1 + t_ls2
     sidecar["wall"] = {
         "solve_s": round(t_solve, 6),
+        "greedy_s": round(t_greedy, 6),
+        "ls1_s": round(t_ls1, 6),
+        "ls2_s": round(t_ls2, 6),
         "analyze_s": round(t_analyze, 6),
         "verify_s": round(t_verify, 6),
         "oracle_s": round(t_oracle, 6),

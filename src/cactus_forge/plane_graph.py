@@ -257,6 +257,10 @@ class PlaneGraph:
     naming a dart on the outer face (``None`` only for edgeless graphs).
     All derived tables (faces, edge list, triangle candidates) are built
     eagerly and never change, so instances are safe to share.
+
+    The private keywords serve ``plane_subgraph``: ``_walk_groups`` sets
+    how face walks group into faces, and ``_core`` hands over the core it
+    already built and validated from the same rotations.
     """
 
     __slots__ = (
@@ -288,8 +292,9 @@ class PlaneGraph:
         outer: tuple[int, int] | None = None,
         *,
         _walk_groups: list[list[int]] | None = None,
+        _core: _Core | None = None,
     ):
-        core = _build_core(n, rotations)
+        core = _build_core(n, rotations) if _core is None else _core
         self.n = n
         self.rotations = core.rotations
         self.tail = tuple(core.tail)
@@ -562,7 +567,7 @@ def plane_subgraph(
             raise IdentityViolationError(
                 "edgeless subgraph left more than one host region"
             )
-        sub = PlaneGraph(len(to_host), rotations, None)
+        sub = PlaneGraph(len(to_host), rotations, None, _core=core)
         prov = FaceProvenance(
             merged_host_faces=(frozenset(range(len(g.faces))),),
             sub_of_host_face=tuple(0 for _ in g.faces),
@@ -591,6 +596,7 @@ def plane_subgraph(
         rotations,
         outer_pair,
         _walk_groups=list(group_of_root.values()),
+        _core=core,
     )
 
     root_of_sub_face: dict[int, int] = {}

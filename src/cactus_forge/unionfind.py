@@ -13,9 +13,8 @@ and it keeps a trail of the merges it made:
 * each successful union pushes one trail entry, so the trail never
   holds more than n - 1 of them.
 
-The move scan's ``_MoveScan._labels`` keeps its own inline walk: it is
-the measured hot path, and a method call per ``find`` costs more there
-than the walk itself.
+The move scan needs no union-find: it labels each stage by slicing the
+cactus's Euler tour (``TriangularCactus.tour``).
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ from cactus_forge import (
     GeneratorSpec,
     NotLocallyOptimalError,
     SwapMove,
+    acceptance_corpus,
     analyze_cactus,
     build_instance,
     component_report,
     local_search,
+    plane_subgraph,
 )
 from cactus_forge.analyzer import classify_edges, classify_triangles, superface_stats
 from cactus_forge.errors import NotAComponentError
@@ -257,3 +259,52 @@ class TestWholeCactus:
         assert not r.all_heavy
         strict = next(v for v in r.verdicts if v.name == "strict-coverage-bound")
         assert strict.detail == "28 <= 42 - 3"
+
+
+def _outer_counts_from_the_subgraph(g, comp, report):
+    """Outer face of the full component subgraph, walked dart by dart."""
+    sub, prov = plane_subgraph(g, comp)
+    occupied = {cr.side_dart for ec in report.edges.values() for cr in ec.crosses}
+    host = prov.to_host_vertex
+    occ = sum(
+        g.dart_id(host[sub.tail[d]], host[sub.head[d]]) in occupied
+        for walk in sub.outer_face.walks
+        for d in walk
+    )
+    length = sub.outer_face.length
+    return length, occ, length - occ
+
+
+def _outer_count_cases():
+    specs = acceptance_corpus()[::7]
+    for spec in specs:
+        g = build_instance(spec)
+        c, _ = local_search(g)
+        yield spec.label(), g, c
+        if len(c):
+            # Components of a cactus minus a triangle can nest in one
+            # another's faces.
+            short = c.copy()
+            short.remove_triangle(short.triangle_ids[len(short) // 2])
+            yield spec.label() + " minus one", g, short
+
+
+def test_outer_counts_match_the_component_subgraph(heavy_pair, heavy_path, heavy_shape_bad):
+    cases = [
+        (name, case.g, case.cactus)
+        for name, case in (
+            ("heavy_pair", heavy_pair),
+            ("heavy_path", heavy_path),
+            ("heavy_shape_bad", heavy_shape_bad),
+        )
+    ]
+    checked = 0
+    for name, g, c in cases + list(_outer_count_cases()):
+        for comp in c.components():
+            if len(comp) == 1:
+                continue
+            r = component_report(g, c, comp, verified=True)
+            got = (r.outer_len, r.outer_occupied, r.outer_free)
+            assert got == _outer_counts_from_the_subgraph(g, comp, r), (name, comp)
+            checked += 1
+    assert checked > 60

@@ -1,16 +1,25 @@
 """Incremental triangular-cactus container and the triple helpers."""
 
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cactus_forge import (
+    GeneratorSpec,
     InvalidCactusError,
+    SearchConfig,
     TriangularCactus,
+    build_instance,
     cactus_from_triples,
     cactus_to_triples,
     is_valid_cactus,
+    local_search,
 )
 from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.errors import TriangleNotInCactusError, UnknownTriangleError
+from cactus_forge.unionfind import DisjointSet
 
 
 def test_empty_cactus(k4):
@@ -144,3 +153,91 @@ def test_triples_form_cactus_pure_check():
     # closes a cycle of components
     assert not triples_form_cactus([(0, 1, 2), (2, 3, 4), (4, 5, 0)])
     assert triples_form_cactus([])
+
+
+def _same_partition(x, y):
+    return len(set(x)) == len(set(y)) == len(set(zip(x, y)))
+
+
+def _union_find_labels(g, triangle_ids):
+    uf = DisjointSet(g.n)
+    for t in triangle_ids:
+        a, b, w = g.triangles[t].vertices
+        uf.union(a, b)
+        uf.union(a, w)
+    return uf.labels()
+
+
+def _bfs_split(c, tid):
+    """Corner -> vertices reachable over cactus edges other than tid's."""
+    tri = c.host.triangles[tid]
+    adj = {}
+    for (u, v), owner in c.edge_owner.items():
+        if owner != tid:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+    parts = {}
+    for corner in tri.vertices:
+        seen, frontier = {corner}, [corner]
+        while frontier:
+            frontier = [y for x in frontier for y in adj.get(x, ()) if y not in seen]
+            seen.update(frontier)
+        parts[corner] = frozenset(seen)
+    return parts
+
+
+def _assert_tour_matches_bfs(c):
+    g, tour = c.host, c.tour()
+    assert sorted(tour.order) == list(range(g.n))
+    assert all(tour.order[tour.pos[v]] == v for v in range(g.n))
+    ids = c.triangle_ids
+    for k in (0, 1, 2):
+        for removal in combinations(ids, k):
+            by_pos = tour.labels_without(removal)
+            by_vertex = [by_pos[tour.pos[v]] for v in range(g.n)]
+            kept = [t for t in ids if t not in removal]
+            assert _same_partition(by_vertex, _union_find_labels(g, kept)), removal
+    for tid in ids:
+        assert c.split_at(tid).parts == _bfs_split(c, tid)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_tour_slices_match_a_union_find_and_bfs(two_k4, bowtie, data):
+    # Random cacti with several components and isolated vertices: a 2-swap
+    # optimum minus up to two triangles, or a shuffled greedy cactus on a
+    # disconnected host.
+    host = data.draw(st.sampled_from(["rmp", "two_k4", "bowtie"]))
+    seed = data.draw(st.integers(0, 10_000))
+    if host == "rmp":
+        g = build_instance(
+            GeneratorSpec("random_maximal_planar", n=data.draw(st.integers(4, 22)), seed=seed)
+        )
+        c, _ = local_search(g, SearchConfig(t=2))
+    else:
+        g = two_k4 if host == "two_k4" else bowtie
+        order = [t.id for t in g.triangles]
+        random.Random(seed).shuffle(order)
+        c = TriangularCactus(g)
+        for tid in order:
+            c.try_add_triangle(tid)
+    for _ in range(data.draw(st.integers(0, min(2, len(c))))):
+        c.remove_triangle(c.triangle_ids[data.draw(st.integers(0, len(c) - 1))])
+    _assert_tour_matches_bfs(c)
+
+
+def test_tour_follows_the_cactus_through_edits_and_copies(necklace):
+    c = TriangularCactus(necklace, [0])
+    first = c.tour()
+    assert c.tour() is first
+    d = c.copy()
+    assert d.try_add_triangle(2)
+    assert c.tour() is first
+    _assert_tour_matches_bfs(d)
+    d.remove_triangle(0)
+    _assert_tour_matches_bfs(d)
+    _assert_tour_matches_bfs(c)

@@ -314,11 +314,14 @@ def _assert_scans_agree(g, c):
 
 
 def _cacti_along_the_search(g):
-    """Greedy, 1-swap and 2-swap cacti, and the 2-swap one minus a triangle."""
+    """Greedy, 1-swap and 2-swap cacti, and the 2-swap one minus one and
+    minus two triangles, whose tours have several roots."""
     found = [greedy_initial(g)]
     found += [local_search(g, SearchConfig(t=t))[0] for t in (1, 2)]
-    short = found[-1].copy()
-    if len(short):
+    for _ in range(2):
+        short = found[-1].copy()
+        if not len(short):
+            break
         short.remove_triangle(short.triangle_ids[len(short) // 2])
         found.append(short)
     return found
@@ -327,6 +330,7 @@ def _cacti_along_the_search(g):
 @pytest.mark.parametrize(
     "spec",
     [GeneratorSpec("random_maximal_planar", n=n, seed=n) for n in range(8, 49, 5)]
+    + [GeneratorSpec("random_maximal_planar", n=64, seed=1)]
     + [GeneratorSpec("apollonian", n=n, seed=n) for n in (5, 13, 22, 30, 38)],
     ids=GeneratorSpec.label,
 )
@@ -334,6 +338,12 @@ def test_scan_matches_the_reference_walk(spec):
     g = build_instance(spec)
     for c in _cacti_along_the_search(g):
         _assert_scans_agree(g, c)
+
+
+def test_scan_matches_the_reference_walk_on_disconnected_hosts(two_k4, bowtie):
+    for g in (two_k4, bowtie):
+        for c in _cacti_along_the_search(g):
+            _assert_scans_agree(g, c)
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,6 +22,7 @@ from cactus_forge import (
 )
 from cactus_forge import oracle, pipeline
 from cactus_forge.cli import main
+from cactus_forge.plane_graph import dump_instance
 from cactus_forge.pipeline import (
     CSV_COLUMNS,
     report_to_dict,
@@ -282,6 +283,17 @@ class TestCorpusHarness:
             assert 0 < wall["verify_s"] <= wall["analyze_s"]
             assert wall["analyze_s"] == round(row.wall_analyze_s, 6)
 
+    def test_sidecar_splits_solve_into_its_three_searches(self):
+        res = verify_corpus(acceptance_corpus(rmp_count=6)[2:6])
+        for row, side in zip(res.rows, res.reports):
+            wall = side["wall"]
+            parts = [wall["greedy_s"], wall["ls1_s"], wall["ls2_s"]]
+            assert all(p > 0 for p in parts)
+            assert wall["solve_s"] == round(row.wall_solve_s, 6)
+            # Each key is rounded on its own, so the sum may differ in the
+            # last decimal.
+            assert abs(sum(parts) - wall["solve_s"]) <= 2e-6
+
     def test_verifier_failure_keeps_its_row_text(self, monkeypatch):
         # Hand the harness a greedy cactus as the 2-swap result on a row
         # where greedy is not 2-swap optimal.
@@ -401,8 +413,6 @@ class TestCli:
         assert "oracle refused" in capsys.readouterr().err
 
     def test_analyze_flags_non_optimum(self, tmp_path, capsys, heavy_shape_bad):
-        from cactus_forge.plane_graph import dump_instance
-
         inst = tmp_path / "bad.json"
         dump_instance(heavy_shape_bad.g, inst)
         cac = tmp_path / "bad_cactus.json"
@@ -416,6 +426,31 @@ class TestCli:
             ["analyze", "--in", str(inst), "--cactus", str(cac), "--no-verify"]
         ) == 2
         assert "witness move" not in capsys.readouterr().err
+
+    def _assert_analyze_rejects(self, tmp_path, capsys, inst, triples):
+        cac = tmp_path / "short_cactus.json"
+        cac.write_text(json.dumps(triples))
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(inst), "--cactus", str(cac)]) == 2
+        err = capsys.readouterr().err
+        assert "not locally optimal" in err
+        assert "witness move" in err
+
+    def test_analyze_rejects_the_empty_cactus(self, tmp_path, capsys):
+        # No heavy triangle, so no shape check fires: only the verifier's
+        # own verdict can reject this input.
+        inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        self._assert_analyze_rejects(tmp_path, capsys, inst, [])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_analyze_rejects_an_optimum_minus_a_triangle(self, tmp_path, capsys, seed):
+        g = build_instance(GeneratorSpec("random_maximal_planar", n=20, seed=seed))
+        c, _ = pipeline.local_search(g, SearchConfig(t=2))
+        c.remove_triangle(c.triangle_ids[len(c) // 2])
+        inst = tmp_path / "inst.json"
+        dump_instance(g, inst)
+        triples = [list(g.triangles[t].vertices) for t in c.triangle_ids]
+        self._assert_analyze_rejects(tmp_path, capsys, inst, triples)
 
     def test_mps_and_mpt_commands(self, tmp_path, capsys):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")

@@ -11,6 +11,10 @@ coverage bound q <= 6p per component ultimately rests on, so every count
 here is re-checked against an independent recount and any mismatch is
 raised as an implementation bug rather than reported as data.
 
+Whether the cactus is 2-swap optimal is decided once, by analyze_cactus
+(with the verifier, or on the caller's word); component_report takes that
+answer as a required bool and builds each report in one straight pass.
+
 Vocabulary used throughout:
 
 * component: vertex set of one cactus component (the whole partition
@@ -49,10 +53,6 @@ __all__ = [
     "Verdict",
     "ComponentReport",
     "CactusReport",
-    "classify_edges",
-    "classify_triangles",
-    "skeleton",
-    "superface_stats",
     "component_report",
     "analyze_cactus",
 ]
@@ -262,19 +262,16 @@ class CactusReport:
 
 
 class _ComponentAnalysis:
-    """Single-pass analysis of one component, stage by stage.
+    """One component, analyzed in a single straight pass.
 
-    Stages build on each other (edges -> triangles -> skeleton -> faces
-    -> report); each is cached so the public helpers can expose any
-    prefix of the pipeline without recomputation.
+    report() runs the stages in order (edges -> triangles -> skeleton ->
+    super-faces -> verdicts) and hands each stage what the earlier ones
+    built, so on bad input the earliest failed check is the one raised.
+    Whether the cactus is 2-swap optimal is the caller's answer.
     """
 
     def __init__(
-        self,
-        g: PlaneGraph,
-        cactus: TriangularCactus,
-        component: Iterable[int],
-        verified: bool | None = None,
+        self, g: PlaneGraph, cactus: TriangularCactus, component: Iterable[int]
     ):
         self.g = g
         self.c = cactus
@@ -289,7 +286,6 @@ class _ComponentAnalysis:
                 f"{sorted(s)} is not a component of the cactus partition"
             )
         self.s = s
-        self._verified = verified
         self.tri_ids = sorted(
             t for t in cactus.triangle_ids if set(g.triangles[t].vertices) <= s
         )
@@ -299,394 +295,31 @@ class _ComponentAnalysis:
         for v, r in enumerate(self._label):
             if v < self._landing.get(r, g.n):
                 self._landing[r] = v
-        self._edges: dict[tuple[int, int], EdgeClass] | None = None
-        self._tris: dict[int, TriangleClass] | None = None
-        self._structure_notes: list[str] | None = None
-        self._skel: Skeleton | None = None
-        self._supers: tuple[SuperFace, ...] | None = None
-        self._free_side_faces: dict[int, list[int]] = {}
 
-    # -- stage 1: edges ------------------------------------------------
-
-    def edges(self) -> dict[tuple[int, int], EdgeClass]:
-        if self._edges is not None:
-            return self._edges
+    def report(self, verified: bool) -> ComponentReport:
         g, s = self.g, self.s
-        table: dict[tuple[int, int], EdgeClass] = {}
-        for u in sorted(s):
-            for v in g.neighbors(u):
-                if v < u or v not in s:
-                    continue
-                crosses = []
-                for a, b in ((u, v), (v, u)):
-                    d = g.dart_id(a, b)
-                    f = g.faces[g.face_of_dart[d]]
-                    if not f.is_triangle:
-                        continue
-                    third = next(x for x in f.vertices if x not in (u, v))
-                    if third in s:
-                        continue
-                    crosses.append(
-                        CrossTriangle(
-                            face_id=f.id,
-                            support=(u, v),
-                            side_dart=d,
-                            third_vertex=third,
-                            landing=self._landing[self._label[third]],
-                        )
-                    )
-                owner = self.c.edge_owner.get((u, v))
-                if owner is not None:
-                    kind = "cactus"
-                    if len(crosses) > 1:
-                        raise IdentityViolationError(
-                            f"cactus edge {(u, v)} reports {len(crosses)} cross "
-                            "triangles; one side is its own triangle face"
-                        )
-                else:
-                    kind = f"type-{len(crosses)}"
-                table[(u, v)] = EdgeClass(
-                    edge=(u, v),
-                    kind=kind,
-                    owner=owner,
-                    cross_count=len(crosses),
-                    crosses=tuple(crosses),
-                )
-        self._edges = table
-        return table
-
-    # -- stage 2: triangles ---------------------------------------------
-
-    def triangles(self) -> dict[int, TriangleClass]:
-        if self._tris is not None:
-            return self._tris
-        edges = self.edges()
-        crossed_chords = [
-            e for e, ec in edges.items() if ec.kind in ("type-1", "type-2")
-        ]
-        table: dict[int, TriangleClass] = {}
-        notes: list[str] = []
-        for tid in self.tri_ids:
-            tri = self.g.triangles[tid]
-            own = {e: edges[e].cross_count for e in tri.edges}
-            cross_type = sum(1 for n in own.values() if n)
-            parts = self.c.split_at(tid).parts
-            spanning: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-            load: dict[tuple[int, int], int] = {}
-            for e in tri.edges:
-                px, py = parts[e[0]], parts[e[1]]
-                chords = tuple(
-                    b
-                    for b in crossed_chords
-                    if (b[0] in px and b[1] in py) or (b[0] in py and b[1] in px)
-                )
-                spanning[e] = chords
-                load[e] = own[e] + sum(edges[b].cross_count for b in chords)
-            total = sum(own.values()) + sum(
-                edges[b].cross_count for bs in spanning.values() for b in bs
-            )
-            ranked = sorted(load.values(), reverse=True)
-            heavy = total >= 4 or (ranked[0] >= 3 and ranked[1] == 0)
-            base = free_v = None
-            if heavy:
-                base = min(e for e in tri.edges if load[e] == ranked[0])
-                free_v = next(v for v in tri.vertices if v not in base)
-            if not heavy:
-                # A spanning-chord family of three or more crosses forces
-                # heaviness under either clause, so light triangles can
-                # only ever see at most two per edge.
-                for e in tri.edges:
-                    family = sum(edges[b].cross_count for b in spanning[e])
-                    if family > 2:
-                        raise IdentityViolationError(
-                            f"light triangle {tid} has {family} crosses on the "
-                            f"spanning chords of edge {e}"
-                        )
-            table[tid] = TriangleClass(
-                triangle_id=tid,
-                vertices=tri.vertices,
-                cross_type=cross_type,
-                heavy=heavy,
-                total_load=total,
-                load=load,
-                spanning_chords=spanning,
-                base_edge=base,
-                free_vertex=free_v,
-            )
-            if heavy:
-                notes.extend(self._heavy_shape_notes(table[tid], edges))
-        self._tris = table
-        self._structure_notes = notes
-        if notes:
-            self._resolve_structure_notes(notes)
-        return table
-
-    @staticmethod
-    def _heavy_shape_notes(
-        tc: TriangleClass, edges: dict[tuple[int, int], EdgeClass]
-    ) -> list[str]:
-        """Shape constraints every heavy triangle meets at a 2-swap optimum."""
-        notes = []
-        if tc.cross_type >= 2:
-            notes.append(
-                f"heavy triangle {tc.triangle_id} supports crosses on "
-                f"{tc.cross_type} of its own edges"
-            )
-            return notes
-        if tc.load[tc.base_edge] < 3:
-            notes.append(
-                f"heavy triangle {tc.triangle_id} has base load "
-                f"{tc.load[tc.base_edge]} < 3"
-            )
-        if tc.cross_type == 1:
-            supported = next(e for e, n in tc.load.items() if edges[e].cross_count)
-            if supported != tc.base_edge:
-                notes.append(
-                    f"heavy triangle {tc.triangle_id} supports its cross on "
-                    f"{supported}, not on its base edge {tc.base_edge}"
-                )
-            for e in tc.load:
-                if e != tc.base_edge and tc.spanning_chords[e]:
-                    notes.append(
-                        f"heavy triangle {tc.triangle_id} has spanning chords "
-                        f"on non-base edge {e}"
-                    )
-        return notes
-
-    def _resolve_structure_notes(self, notes: list[str]) -> None:
-        """Decide whether a failed shape check means bad input or bad math.
-
-        The shape constraints are consequences of 2-swap optimality, so a
-        violation on an unverified input is the caller's problem and is
-        raised as such; on a verified optimum it is kept as a diagnostic
-        for the report (and will fail its verdict there).
-        """
-        if self._verified is None:
-            ok, move = verify_local_optimality(self.g, self.c, 2)
-            self._verified = ok
-            if not ok:
-                raise NotLocallyOptimalError(notes[0], witness=move)
-        elif not self._verified:
+        edges = self._edges()
+        tris, notes = self._triangles(edges)
+        if notes and not verified:
+            # The shape constraints are consequences of 2-swap optimality,
+            # so a violation on an input not known to be optimal is the
+            # caller's problem; on a verified optimum it is kept and fails
+            # the heavy-shape verdict below.
             raise NotLocallyOptimalError(notes[0])
-
-    def structure_notes(self) -> list[str]:
-        self.triangles()
-        assert self._structure_notes is not None
-        return self._structure_notes
-
-    # -- stage 3: skeleton ----------------------------------------------
-
-    def skeleton(self) -> Skeleton:
-        if self._skel is not None:
-            return self._skel
-        edges = self.edges()
-        dropped = [e for e, ec in edges.items() if ec.kind == "type-0"]
-        h, prov = plane_subgraph(self.g, self.s, dropped)
-        expected = 3 * len(self.tri_ids) + sum(
-            1 for ec in edges.values() if ec.kind in ("type-1", "type-2")
-        )
-        if len(h.edges) != expected:
-            raise IdentityViolationError(
-                f"skeleton has {len(h.edges)} edges, expected {expected}"
-            )
-        cactus_face_of: dict[int, int] = {}
-        for tid in self.tri_ids:
-            hf = self.g.triangles[tid].face_id
-            fid = prov.sub_of_host_face[hf]
-            if prov.merged_host_faces[fid] != frozenset({hf}):
-                raise IdentityViolationError(
-                    f"face of cactus triangle {tid} merged with other regions"
-                )
-            cactus_face_of[tid] = fid
-        own = set(cactus_face_of.values())
-        if len(own) != len(self.tri_ids):
-            raise IdentityViolationError("two cactus triangles share a skeleton face")
-        super_ids = tuple(f.id for f in h.faces if f.id not in own)
-        outer = prov.sub_of_host_face[self.g.outer_face_id]
-        self._skel = Skeleton(
-            graph=h,
-            provenance=prov,
-            cactus_face_of=cactus_face_of,
-            super_face_ids=super_ids,
-            outer_super_face=outer if outer in super_ids else None,
-        )
-        return self._skel
-
-    # -- stage 4: super-faces ---------------------------------------------
-
-    def all_heavy(self) -> bool:
-        tris = self.triangles()
-        return bool(tris) and all(tc.heavy for tc in tris.values())
-
-    def labels_on(self) -> bool:
-        """Labels need every triangle heavy and every shape check clean."""
-        return self.all_heavy() and not self.structure_notes()
-
-    def super_faces(self) -> tuple[SuperFace, ...]:
-        if self._supers is not None:
-            return self._supers
-        g, s = self.g, self.s
-        edges = self.edges()
-        tris = self.triangles()
-        skel = self.skeleton()
-        h, prov = skel.graph, skel.provenance
-        to_host = prov.to_host_vertex
+        skel = self._skeleton(edges)
         occupied_darts = {
             cr.side_dart for ec in edges.values() for cr in ec.crosses
         }
-        labels_on = self.labels_on()
-        self._free_side_faces = {}
-
-        records = []
-        for f in h.faces:
-            if f.id not in skel.super_face_ids:
-                continue
-            occ = free = 0
-            sides: list[tuple[tuple[int, int], bool]] = []
-            tally = {
-                "single_occupied": 0,
-                "single_free": 0,
-                "double": 0,
-                "base_plain": 0,
-                "base_crossed": 0,
-                "free_plain": 0,
-                "free_crossed": 0,
-            }
-            pairs: list[tuple[int, int, int]] = []
-            for walk in f.walks:
-                n_w = len(walk)
-                for i, d in enumerate(walk):
-                    hu, hv = to_host[h.tail[d]], to_host[h.head[d]]
-                    hd = g.dart_id(hu, hv)
-                    e = (hu, hv) if hu < hv else (hv, hu)
-                    ec = edges[e]
-                    hot = hd in occupied_darts
-                    occ += hot
-                    free += not hot
-                    sides.append((e, hot))
-                    if labels_on:
-                        self._tally_side(tally, ec, tris, hot, f.id)
-                        nxt = walk[(i + 1) % n_w]
-                        pair = self._friendly_pair(d, nxt, f, skel, edges, tris)
-                        if pair is not None:
-                            pairs.append(pair)
-            survive = sum(
-                1
-                for hf in prov.merged_host_faces[f.id]
-                if g.faces[hf].is_triangle
-                and all(v in s for v in g.faces[hf].vertices)
-            )
-            cap_half = 2 * free + occ
-            counts = label = None
-            if labels_on:
-                counts = BoundaryCounts(**tally)
-                label = (
-                    counts.base_crossed + counts.double + counts.single_occupied,
-                    counts.single_free,
-                    counts.base_plain,
-                )
-                if label[0] != occ:
-                    raise IdentityViolationError(
-                        f"occupied sides of super-face {f.id} disagree with "
-                        f"their role decomposition ({occ} vs {label[0]})"
-                    )
-            records.append(
-                SuperFace(
-                    face_id=f.id,
-                    is_outer=f.id == skel.outer_super_face,
-                    boundary_len=f.length,
-                    occupied=occ,
-                    free=free,
-                    survive=survive,
-                    capacity_half=cap_half,
-                    gain_half=cap_half - 2 * survive,
-                    host_faces=prov.merged_host_faces[f.id],
-                    sides=tuple(sides),
-                    counts=counts,
-                    label=label,
-                    friendly=bool(pairs) if labels_on else None,
-                    friendly_pairs=tuple(sorted(set(pairs))),
-                )
-            )
-        self._supers = tuple(records)
-        return self._supers
-
-    def _tally_side(
-        self,
-        tally: dict[str, int],
-        ec: EdgeClass,
-        tris: dict[int, TriangleClass],
-        hot: bool,
-        face_id: int,
-    ) -> None:
-        if ec.kind == "type-1":
-            tally["single_occupied" if hot else "single_free"] += 1
-        elif ec.kind == "type-2":
-            tally["double"] += 1
-        elif ec.kind == "cactus":
-            tc = tris[ec.owner]
-            if ec.edge == tc.base_edge:
-                tally["base_crossed" if tc.cross_type else "base_plain"] += 1
-            else:
-                tally["free_crossed" if tc.cross_type else "free_plain"] += 1
-                self._free_side_faces.setdefault(tc.triangle_id, []).append(face_id)
-        else:  # pragma: no cover - type-0 chords are not skeleton edges
-            raise IdentityViolationError("crossless chord on a skeleton boundary")
-
-    def _friendly_pair(
-        self,
-        d1: int,
-        d2: int,
-        f,
-        skel: Skeleton,
-        edges: dict[tuple[int, int], EdgeClass],
-        tris: dict[int, TriangleClass],
-    ) -> tuple[int, int, int] | None:
-        """Detect the friendly corner w1 -> v -> w2 between two triangles.
-
-        Both walk darts must ride free edges of distinct cactus triangles,
-        entered from / leaving to their free vertices, and the host corner
-        at v must be an empty triangle: no further host darts between the
-        two edges, and the corner face closed off by a w1-w2 edge.
-        """
-        g = self.g
-        to_host = skel.provenance.to_host_vertex
-        h = skel.graph
-        w1, v = to_host[h.tail[d1]], to_host[h.head[d1]]
-        w2 = to_host[h.head[d2]]
-        e1 = (w1, v) if w1 < v else (v, w1)
-        e2 = (v, w2) if v < w2 else (w2, v)
-        ec1, ec2 = edges[e1], edges[e2]
-        if ec1.kind != "cactus" or ec2.kind != "cactus" or ec1.owner == ec2.owner:
-            return None
-        t1, t2 = tris[ec1.owner], tris[ec2.owner]
-        if w1 != t1.free_vertex or w2 != t2.free_vertex:
-            return None
-        hd1, hd2 = g.dart_id(w1, v), g.dart_id(v, w2)
-        if g.face_next[hd1] != hd2:
-            return None
-        if not g.faces[g.face_of_dart[hd1]].is_triangle:
-            return None
-        return (t1.triangle_id, t2.triangle_id, v)
-
-    # -- stage 5: the report ----------------------------------------------
-
-    def verified(self) -> bool:
-        if self._verified is None:
-            ok, _ = verify_local_optimality(self.g, self.c, 2)
-            self._verified = ok
-        return self._verified
-
-    def report(self) -> ComponentReport:
-        g, s = self.g, self.s
-        edges = self.edges()
-        tris = self.triangles()
-        skel = self.skeleton()
-        supers = self.super_faces()
-        notes = list(self.structure_notes())
-        labels_on = self.labels_on()
-        all_heavy = self.all_heavy()
-        verified = self.verified()
+        outer_len, outer_occ = self._outer_boundary(occupied_darts)
+        outer_free = outer_len - outer_occ
+        all_heavy = bool(tris) and all(tc.heavy for tc in tris.values())
+        # Labels need every triangle heavy and every shape check clean;
+        # the floors they grade against hold on verified optima only.
+        labels_on = all_heavy and not notes
+        graded = verified and labels_on
+        supers = self._super_faces(
+            edges, tris, skel, occupied_darts, labels_on, graded, outer_free
+        )
 
         p = len(self.tri_ids)
         p_types = [0, 0, 0, 0]
@@ -711,9 +344,6 @@ class _ComponentAnalysis:
                 f"anchored-face recount mismatch: {anchored} counted directly, "
                 f"{recount} = {p} + {from_cactus} + {a1} + 2*{a2} + {survive_total}"
             )
-
-        outer_len, outer_occ = self._outer_boundary()
-        outer_free = outer_len - outer_occ
 
         n_supers = len(supers)
         if n_supers != a1 + a2 + 1:
@@ -782,9 +412,16 @@ class _ComponentAnalysis:
                 )
             verdicts.append(Verdict("gain-accounting", True, True, "residual 0"))
 
+            # The super-faces that each triangle's two free sides fall on.
+            free_side_faces: dict[int, list[int]] = {}
+            for r in supers:
+                for e, _ in r.sides:
+                    ec = edges[e]
+                    if ec.kind == "cactus" and e != tris[ec.owner].base_edge:
+                        free_side_faces.setdefault(ec.owner, []).append(r.face_id)
             pairing_bad = [
                 tid
-                for tid, fids in sorted(self._free_side_faces.items())
+                for tid, fids in sorted(free_side_faces.items())
                 if len(fids) != 2 or fids[0] != fids[1]
             ]
             verdicts.append(
@@ -799,9 +436,7 @@ class _ComponentAnalysis:
                 )
             )
 
-        if all_heavy and verified and labels_on:
-            supers = self._graded_supers(supers, outer_free)
-            self._supers = supers
+        if graded:
             bad = [r for r in supers if not r.gain_ok]
             verdicts.append(
                 Verdict(
@@ -847,7 +482,7 @@ class _ComponentAnalysis:
             Verdict(
                 "strict-coverage-bound",
                 anchored <= 6 * p - outer_free,
-                bool(all_heavy and verified and labels_on),
+                graded,
                 f"{anchored} <= {6 * p} - {outer_free}",
             )
         )
@@ -872,7 +507,181 @@ class _ComponentAnalysis:
             notes=tuple(notes),
         )
 
-    def _outer_boundary(self) -> tuple[int, int]:
+    # -- stage 1: edges ------------------------------------------------
+
+    def _edges(self) -> dict[tuple[int, int], EdgeClass]:
+        g, s = self.g, self.s
+        table: dict[tuple[int, int], EdgeClass] = {}
+        for u in sorted(s):
+            for v in g.neighbors(u):
+                if v < u or v not in s:
+                    continue
+                crosses = []
+                for a, b in ((u, v), (v, u)):
+                    d = g.dart_id(a, b)
+                    f = g.faces[g.face_of_dart[d]]
+                    if not f.is_triangle:
+                        continue
+                    third = next(x for x in f.vertices if x not in (u, v))
+                    if third in s:
+                        continue
+                    crosses.append(
+                        CrossTriangle(
+                            face_id=f.id,
+                            support=(u, v),
+                            side_dart=d,
+                            third_vertex=third,
+                            landing=self._landing[self._label[third]],
+                        )
+                    )
+                owner = self.c.edge_owner.get((u, v))
+                if owner is not None:
+                    kind = "cactus"
+                    if len(crosses) > 1:
+                        raise IdentityViolationError(
+                            f"cactus edge {(u, v)} reports {len(crosses)} cross "
+                            "triangles; one side is its own triangle face"
+                        )
+                else:
+                    kind = f"type-{len(crosses)}"
+                table[(u, v)] = EdgeClass(
+                    edge=(u, v),
+                    kind=kind,
+                    owner=owner,
+                    cross_count=len(crosses),
+                    crosses=tuple(crosses),
+                )
+        return table
+
+    # -- stage 2: triangles ---------------------------------------------
+
+    def _triangles(
+        self, edges: dict[tuple[int, int], EdgeClass]
+    ) -> tuple[dict[int, TriangleClass], list[str]]:
+        """Classify the cactus triangles, with the heavy-shape findings."""
+        crossed_chords = [
+            e for e, ec in edges.items() if ec.kind in ("type-1", "type-2")
+        ]
+        table: dict[int, TriangleClass] = {}
+        notes: list[str] = []
+        for tid in self.tri_ids:
+            tri = self.g.triangles[tid]
+            own = {e: edges[e].cross_count for e in tri.edges}
+            cross_type = sum(1 for n in own.values() if n)
+            parts = self.c.split_at(tid).parts
+            spanning: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+            load: dict[tuple[int, int], int] = {}
+            for e in tri.edges:
+                px, py = parts[e[0]], parts[e[1]]
+                chords = tuple(
+                    b
+                    for b in crossed_chords
+                    if (b[0] in px and b[1] in py) or (b[0] in py and b[1] in px)
+                )
+                spanning[e] = chords
+                load[e] = own[e] + sum(edges[b].cross_count for b in chords)
+            total = sum(own.values()) + sum(
+                edges[b].cross_count for bs in spanning.values() for b in bs
+            )
+            ranked = sorted(load.values(), reverse=True)
+            heavy = total >= 4 or (ranked[0] >= 3 and ranked[1] == 0)
+            base = free_v = None
+            if heavy:
+                base = min(e for e in tri.edges if load[e] == ranked[0])
+                free_v = next(v for v in tri.vertices if v not in base)
+            if not heavy:
+                # A spanning-chord family of three or more crosses forces
+                # heaviness under either clause, so light triangles can
+                # only ever see at most two per edge.
+                for e in tri.edges:
+                    family = sum(edges[b].cross_count for b in spanning[e])
+                    if family > 2:
+                        raise IdentityViolationError(
+                            f"light triangle {tid} has {family} crosses on the "
+                            f"spanning chords of edge {e}"
+                        )
+            table[tid] = TriangleClass(
+                triangle_id=tid,
+                vertices=tri.vertices,
+                cross_type=cross_type,
+                heavy=heavy,
+                total_load=total,
+                load=load,
+                spanning_chords=spanning,
+                base_edge=base,
+                free_vertex=free_v,
+            )
+            if heavy:
+                notes.extend(self._heavy_shape_notes(table[tid], edges))
+        return table, notes
+
+    @staticmethod
+    def _heavy_shape_notes(
+        tc: TriangleClass, edges: dict[tuple[int, int], EdgeClass]
+    ) -> list[str]:
+        """Shape constraints every heavy triangle meets at a 2-swap optimum."""
+        notes = []
+        if tc.cross_type >= 2:
+            notes.append(
+                f"heavy triangle {tc.triangle_id} supports crosses on "
+                f"{tc.cross_type} of its own edges"
+            )
+            return notes
+        if tc.load[tc.base_edge] < 3:
+            notes.append(
+                f"heavy triangle {tc.triangle_id} has base load "
+                f"{tc.load[tc.base_edge]} < 3"
+            )
+        if tc.cross_type == 1:
+            supported = next(e for e, n in tc.load.items() if edges[e].cross_count)
+            if supported != tc.base_edge:
+                notes.append(
+                    f"heavy triangle {tc.triangle_id} supports its cross on "
+                    f"{supported}, not on its base edge {tc.base_edge}"
+                )
+            for e in tc.load:
+                if e != tc.base_edge and tc.spanning_chords[e]:
+                    notes.append(
+                        f"heavy triangle {tc.triangle_id} has spanning chords "
+                        f"on non-base edge {e}"
+                    )
+        return notes
+
+    # -- stage 3: skeleton ----------------------------------------------
+
+    def _skeleton(self, edges: dict[tuple[int, int], EdgeClass]) -> Skeleton:
+        dropped = [e for e, ec in edges.items() if ec.kind == "type-0"]
+        h, prov = plane_subgraph(self.g, self.s, dropped)
+        expected = 3 * len(self.tri_ids) + sum(
+            1 for ec in edges.values() if ec.kind in ("type-1", "type-2")
+        )
+        if len(h.edges) != expected:
+            raise IdentityViolationError(
+                f"skeleton has {len(h.edges)} edges, expected {expected}"
+            )
+        cactus_face_of: dict[int, int] = {}
+        for tid in self.tri_ids:
+            hf = self.g.triangles[tid].face_id
+            fid = prov.sub_of_host_face[hf]
+            if prov.merged_host_faces[fid] != frozenset({hf}):
+                raise IdentityViolationError(
+                    f"face of cactus triangle {tid} merged with other regions"
+                )
+            cactus_face_of[tid] = fid
+        own = set(cactus_face_of.values())
+        if len(own) != len(self.tri_ids):
+            raise IdentityViolationError("two cactus triangles share a skeleton face")
+        super_ids = tuple(f.id for f in h.faces if f.id not in own)
+        outer = prov.sub_of_host_face[self.g.outer_face_id]
+        return Skeleton(
+            graph=h,
+            provenance=prov,
+            cactus_face_of=cactus_face_of,
+            super_face_ids=super_ids,
+            outer_super_face=outer if outer in super_ids else None,
+        )
+
+    def _outer_boundary(self, occupied_darts: set[int]) -> tuple[int, int]:
         """Length and occupied sides of the outer face of the component
         subgraph (before chord removal).
 
@@ -898,24 +707,158 @@ class _ComponentAnalysis:
             raise IdentityViolationError(
                 "outer region of the component subgraph has no boundary dart"
             )
-        occupied = {cr.side_dart for ec in self.edges().values() for cr in ec.crosses}
-        return len(boundary), sum(d in occupied for d in boundary)
+        return len(boundary), sum(d in occupied_darts for d in boundary)
 
-    def _graded_supers(
-        self, supers: tuple[SuperFace, ...], outer_free: int
+    # -- stage 4: super-faces ---------------------------------------------
+
+    def _super_faces(
+        self,
+        edges: dict[tuple[int, int], EdgeClass],
+        tris: dict[int, TriangleClass],
+        skel: Skeleton,
+        occupied_darts: set[int],
+        labels_on: bool,
+        graded: bool,
+        outer_free: int,
     ) -> tuple[SuperFace, ...]:
-        """Attach the per-shape gain floor to every super-face record."""
-        from dataclasses import replace
+        """Occupancy, capacity and gain accounting per skeleton super-face,
+        labelled when labels_on and graded against its floor when graded."""
+        g, s = self.g, self.s
+        h, prov = skel.graph, skel.provenance
+        to_host = prov.to_host_vertex
 
-        out = []
-        for r in supers:
-            if r.is_outer:
-                floor = 2 * outer_free - 2
-            else:
-                floor = _gain_floor_half(r.label, bool(r.friendly))
-            ok = floor is not None and r.gain_half >= floor
-            out.append(replace(r, floor_half=floor, gain_ok=ok))
-        return tuple(out)
+        records = []
+        for f in h.faces:
+            if f.id not in skel.super_face_ids:
+                continue
+            occ = free = 0
+            sides: list[tuple[tuple[int, int], bool]] = []
+            tally = {
+                "single_occupied": 0,
+                "single_free": 0,
+                "double": 0,
+                "base_plain": 0,
+                "base_crossed": 0,
+                "free_plain": 0,
+                "free_crossed": 0,
+            }
+            pairs: list[tuple[int, int, int]] = []
+            for walk in f.walks:
+                n_w = len(walk)
+                for i, d in enumerate(walk):
+                    hu, hv = to_host[h.tail[d]], to_host[h.head[d]]
+                    hd = g.dart_id(hu, hv)
+                    e = (hu, hv) if hu < hv else (hv, hu)
+                    hot = hd in occupied_darts
+                    occ += hot
+                    free += not hot
+                    sides.append((e, hot))
+                    if labels_on:
+                        tally[self._side_role(edges[e], tris, hot)] += 1
+                        nxt = walk[(i + 1) % n_w]
+                        pair = self._friendly_pair(d, nxt, skel, edges, tris)
+                        if pair is not None:
+                            pairs.append(pair)
+            survive = sum(
+                1
+                for hf in prov.merged_host_faces[f.id]
+                if g.faces[hf].is_triangle
+                and all(v in s for v in g.faces[hf].vertices)
+            )
+            cap_half = 2 * free + occ
+            gain_half = cap_half - 2 * survive
+            is_outer = f.id == skel.outer_super_face
+            counts = label = floor = gain_ok = None
+            if labels_on:
+                counts = BoundaryCounts(**tally)
+                label = (
+                    counts.base_crossed + counts.double + counts.single_occupied,
+                    counts.single_free,
+                    counts.base_plain,
+                )
+                if label[0] != occ:
+                    raise IdentityViolationError(
+                        f"occupied sides of super-face {f.id} disagree with "
+                        f"their role decomposition ({occ} vs {label[0]})"
+                    )
+            if graded:
+                if is_outer:
+                    floor = 2 * outer_free - 2
+                else:
+                    floor = _gain_floor_half(label, bool(pairs))
+                gain_ok = floor is not None and gain_half >= floor
+            records.append(
+                SuperFace(
+                    face_id=f.id,
+                    is_outer=is_outer,
+                    boundary_len=f.length,
+                    occupied=occ,
+                    free=free,
+                    survive=survive,
+                    capacity_half=cap_half,
+                    gain_half=gain_half,
+                    host_faces=prov.merged_host_faces[f.id],
+                    sides=tuple(sides),
+                    counts=counts,
+                    label=label,
+                    friendly=bool(pairs) if labels_on else None,
+                    friendly_pairs=tuple(sorted(set(pairs))),
+                    floor_half=floor,
+                    gain_ok=gain_ok,
+                )
+            )
+        return tuple(records)
+
+    @staticmethod
+    def _side_role(
+        ec: EdgeClass, tris: dict[int, TriangleClass], hot: bool
+    ) -> str:
+        """The BoundaryCounts field a boundary side on ec is tallied in."""
+        if ec.kind == "type-1":
+            return "single_occupied" if hot else "single_free"
+        if ec.kind == "type-2":
+            return "double"
+        if ec.kind != "cactus":  # pragma: no cover - type-0 chords are gone
+            raise IdentityViolationError("crossless chord on a skeleton boundary")
+        tc = tris[ec.owner]
+        if ec.edge == tc.base_edge:
+            return "base_crossed" if tc.cross_type else "base_plain"
+        return "free_crossed" if tc.cross_type else "free_plain"
+
+    def _friendly_pair(
+        self,
+        d1: int,
+        d2: int,
+        skel: Skeleton,
+        edges: dict[tuple[int, int], EdgeClass],
+        tris: dict[int, TriangleClass],
+    ) -> tuple[int, int, int] | None:
+        """Detect the friendly corner w1 -> v -> w2 between two triangles.
+
+        Both walk darts must ride free edges of distinct cactus triangles,
+        entered from / leaving to their free vertices, and the host corner
+        at v must be an empty triangle: no further host darts between the
+        two edges, and the corner face closed off by a w1-w2 edge.
+        """
+        g = self.g
+        to_host = skel.provenance.to_host_vertex
+        h = skel.graph
+        w1, v = to_host[h.tail[d1]], to_host[h.head[d1]]
+        w2 = to_host[h.head[d2]]
+        e1 = (w1, v) if w1 < v else (v, w1)
+        e2 = (v, w2) if v < w2 else (w2, v)
+        ec1, ec2 = edges[e1], edges[e2]
+        if ec1.kind != "cactus" or ec2.kind != "cactus" or ec1.owner == ec2.owner:
+            return None
+        t1, t2 = tris[ec1.owner], tris[ec2.owner]
+        if w1 != t1.free_vertex or w2 != t2.free_vertex:
+            return None
+        hd1, hd2 = g.dart_id(w1, v), g.dart_id(v, w2)
+        if g.face_next[hd1] != hd2:
+            return None
+        if not g.faces[g.face_of_dart[hd1]].is_triangle:
+            return None
+        return (t1.triangle_id, t2.triangle_id, v)
 
     @staticmethod
     def _floor_detail(r: SuperFace) -> str:
@@ -957,64 +900,28 @@ def _gain_floor_half(label: tuple[int, int, int], friendly: bool) -> int | None:
     return None
 
 
+
 # ----------------------------------------------------------------------
-# public helpers
-
-
-def classify_edges(
-    g: PlaneGraph, cactus: TriangularCactus, component: Iterable[int]
-) -> dict[tuple[int, int], EdgeClass]:
-    """Classify every edge of the component subgraph by its cross load."""
-    return _ComponentAnalysis(g, cactus, component).edges()
-
-
-def classify_triangles(
-    g: PlaneGraph,
-    cactus: TriangularCactus,
-    component: Iterable[int],
-    verified: bool | None = None,
-) -> dict[int, TriangleClass]:
-    """Cross types, loads and heaviness for the component's triangles.
-
-    When a heavy triangle fails one of the shape constraints that 2-swap
-    optima satisfy, the input is re-verified: a non-optimal cactus raises
-    NotLocallyOptimalError (with a witness move when one is computed),
-    while on a verified optimum the finding is kept as a diagnostic.
-    """
-    return _ComponentAnalysis(g, cactus, component, verified).triangles()
-
-
-def skeleton(
-    g: PlaneGraph, cactus: TriangularCactus, component: Iterable[int]
-) -> Skeleton:
-    """Component subgraph minus crossless chords, with provenance."""
-    return _ComponentAnalysis(g, cactus, component).skeleton()
-
-
-def superface_stats(
-    g: PlaneGraph,
-    cactus: TriangularCactus,
-    component: Iterable[int],
-    verified: bool | None = None,
-) -> tuple[SuperFace, ...]:
-    """Occupancy, capacity and gain accounting per skeleton super-face."""
-    return _ComponentAnalysis(g, cactus, component, verified).super_faces()
+# public entry points
 
 
 def component_report(
     g: PlaneGraph,
     cactus: TriangularCactus,
     component: Iterable[int],
-    verified: bool | None = None,
+    *,
+    verified: bool,
 ) -> ComponentReport:
     """Full analysis of one component, with verdicts.
 
-    verified says whether the cactus is already known to be 2-swap
-    optimal; pass None to let the report verify on demand (the graded
-    checks only apply to optima, so the flag gates which verdicts are
-    required rather than merely informational).
+    verified says whether the cactus is 2-swap optimal; analyze_cactus
+    decides it.  The graded checks hold on optima only, so the flag turns
+    them from informational into required, and it decides what a failed
+    heavy-shape check means: on an unverified cactus it raises
+    NotLocallyOptimalError (without a witness), on a verified one it is
+    kept as a failed verdict.
     """
-    return _ComponentAnalysis(g, cactus, component, verified).report()
+    return _ComponentAnalysis(g, cactus, component).report(verified)
 
 
 def analyze_cactus(
@@ -1028,9 +935,12 @@ def analyze_cactus(
     to the number of triangular faces and 6 * (number of triangles) is an
     upper bound certificate for all of them.
 
-    With verified=None the cactus is verified first, and one that admits
-    an improving move of size at most 2 raises NotLocallyOptimalError with
-    that move as its witness.  verified=True or False is taken on trust.
+    This is where the analyzer decides 2-swap optimality, once for the
+    whole cactus.  With verified=None the cactus is verified first, and
+    one that admits an improving move of size at most 2 raises
+    NotLocallyOptimalError with that move as its witness.  verified=True
+    or False is taken on trust.  Either way every component_report gets
+    the settled bool.
     """
     if verified is None:
         verified, witness = verify_local_optimality(g, cactus, 2)

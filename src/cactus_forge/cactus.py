@@ -102,7 +102,12 @@ def _as_triangle(host: PlaneGraph, t: int | Triangle) -> Triangle:
         tid = t.id
     else:
         tid = t
-    if not isinstance(tid, int) or not 0 <= tid < len(host.triangles):
+    # bool is an int subclass, so True would otherwise name triangle 1.
+    if (
+        not isinstance(tid, int)
+        or isinstance(tid, bool)
+        or not 0 <= tid < len(host.triangles)
+    ):
         raise UnknownTriangleError(
             f"{t!r} is not a candidate triangle of the host graph"
         )

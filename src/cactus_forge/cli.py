@@ -196,6 +196,10 @@ def _cmd_mpt(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # A negative count would slice rows off the end of the corpus.
+    for flag, value in (("--rmp-count", args.rmp_count), ("--limit", args.limit)):
+        if value is not None and value < 0:
+            raise CactusForgeError(f"{flag} must be at least 0, got {value}")
     corpus = acceptance_corpus(args.rmp_count)
     if args.limit is not None:
         corpus = corpus[: args.limit]

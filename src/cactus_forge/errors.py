@@ -72,7 +72,7 @@ class CandidateGuardError(CactusForgeError, ValueError):
     def __init__(self, count: int, guard: int):
         super().__init__(
             f"{count} candidate triangles exceed the exact-solver guard of {guard}; "
-            "pass allow_large=True to override"
+            "pass allow_large=True (--allow-large on the command line) to override"
         )
         self.count = count
         self.guard = guard

@@ -22,7 +22,6 @@ from cactus_forge import (
     acceptance_corpus,
     analyze_cactus,
     build_instance,
-    component_report,
     mps_pipeline,
     verify_corpus,
 )

@@ -6,6 +6,9 @@ triangles.  Their numbers were frozen from the first verified run and
 cross-checked by hand against the counting rules.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from cactus_forge import (
@@ -19,18 +22,23 @@ from cactus_forge import (
     local_search,
     plane_subgraph,
 )
-from cactus_forge.analyzer import classify_edges, classify_triangles, superface_stats
 from cactus_forge.errors import NotAComponentError
+from cactus_forge.pipeline import report_to_dict
 
 
 def the_component(case):
     return case.cactus.component_of(case.triples[0][0])
 
 
+def verified_report(case):
+    return component_report(
+        case.g, case.cactus, the_component(case), verified=True
+    )
+
+
 class TestEdgeClasses:
     def test_heavy_pair_edges(self, heavy_pair):
-        g = heavy_pair.g
-        edges = classify_edges(g, heavy_pair.cactus, the_component(heavy_pair))
+        edges = verified_report(heavy_pair).edges
         assert edges[(0, 1)].kind == "cactus"
         assert edges[(0, 1)].owner is not None
         chord = edges[(0, 2)]
@@ -41,9 +49,7 @@ class TestEdgeClasses:
         assert {c.third_vertex for c in chord.crosses} == {5, 6}
 
     def test_heavy_path_chords_all_double(self, heavy_path):
-        edges = classify_edges(
-            heavy_path.g, heavy_path.cactus, the_component(heavy_path)
-        )
+        edges = verified_report(heavy_path).edges
         chords = {e: c for e, c in edges.items() if c.kind != "cactus"}
         assert set(chords) == {(0, 2), (0, 3), (1, 3)}
         assert all(c.kind == "type-2" for c in chords.values())
@@ -51,9 +57,7 @@ class TestEdgeClasses:
 
 class TestTriangleClasses:
     def test_heavy_pair_triangles(self, heavy_pair):
-        tris = classify_triangles(
-            heavy_pair.g, heavy_pair.cactus, the_component(heavy_pair)
-        )
+        tris = verified_report(heavy_pair).triangles
         assert set(tris) == {0, 4}
         a, b = tris[0], tris[4]
         assert a.vertices == (0, 1, 3) and b.vertices == (1, 2, 4)
@@ -64,30 +68,33 @@ class TestTriangleClasses:
         assert b.base_edge == (1, 2) and b.free_vertex == 4
 
     def test_heavy_path_triangles(self, heavy_path):
-        tris = classify_triangles(
-            heavy_path.g, heavy_path.cactus, the_component(heavy_path)
-        )
+        tris = verified_report(heavy_path).triangles
         assert set(tris) == {0, 5, 8}
         assert all(t.cross_type == 0 and t.heavy for t in tris.values())
         assert [tris[i].total_load for i in (0, 5, 8)] == [4, 6, 4]
         assert tris[5].load == {(1, 2): 6, (1, 5): 0, (2, 5): 0}
 
-    def test_spread_load_raises_with_witness(self, heavy_shape_bad):
+    def test_spread_load_on_unverified_cactus_raises(self, heavy_shape_bad):
+        # component_report never runs the verifier itself, so the failed
+        # shape check is all it can report: no witness move
         g, c = heavy_shape_bad.g, heavy_shape_bad.cactus
         comp = c.component_of(0)
         with pytest.raises(NotLocallyOptimalError) as exc:
-            classify_triangles(g, c, comp)
-        assert "heavy triangle 1 has base load 2 < 3" in str(exc.value)
-        assert exc.value.witness == SwapMove(remove=(1,), add=(2, 4))
+            component_report(g, c, comp, verified=False)
+        assert str(exc.value) == "heavy triangle 1 has base load 2 < 3"
+        assert exc.value.witness is None
 
 
 class TestSuperFaces:
     def test_heavy_pair_occupancy(self, heavy_pair):
-        # the bare stats carry occupancy, capacity and labels; floors are
-        # graded only inside component_report, where the verdicts live
-        faces = superface_stats(
-            heavy_pair.g, heavy_pair.cactus, the_component(heavy_pair)
-        )
+        # an unverified cactus still gets occupancy, capacity and labels;
+        # the floors are graded only on a verified optimum
+        faces = component_report(
+            heavy_pair.g,
+            heavy_pair.cactus,
+            the_component(heavy_pair),
+            verified=False,
+        ).super_faces
         assert len(faces) == 2
         inner = next(f for f in faces if not f.is_outer)
         outer = next(f for f in faces if f.is_outer)
@@ -101,18 +108,14 @@ class TestSuperFaces:
         assert not any(f.friendly for f in faces)
 
     def test_heavy_pair_graded_floors(self, heavy_pair):
-        r = component_report(
-            heavy_pair.g, heavy_pair.cactus, the_component(heavy_pair)
-        )
+        r = verified_report(heavy_pair)
         inner = next(f for f in r.super_faces if not f.is_outer)
         outer = next(f for f in r.super_faces if f.is_outer)
         assert inner.floor_half == 3 and outer.floor_half == 6
         assert all(f.gain_ok for f in r.super_faces)
 
     def test_heavy_path_floors_are_tight(self, heavy_path):
-        faces = component_report(
-            heavy_path.g, heavy_path.cactus, the_component(heavy_path)
-        ).super_faces
+        faces = verified_report(heavy_path).super_faces
         by_label = {f.label: f for f in faces}
         assert set(by_label) == {(1, 0, 0), (2, 0, 0), (2, 0, 1), (1, 0, 2)}
         # three of the four cases sit exactly on their lower bound
@@ -126,9 +129,7 @@ class TestSuperFaces:
 
 class TestComponentReport:
     def test_heavy_pair_report(self, heavy_pair):
-        r = component_report(
-            heavy_pair.g, heavy_pair.cactus, the_component(heavy_pair)
-        )
+        r = verified_report(heavy_pair)
         assert r.vertices == (0, 1, 2, 3, 4)
         assert (r.cactus_count, r.anchored_count) == (2, 6)
         assert r.cactus_type_counts == (0, 2, 0, 0)
@@ -150,9 +151,7 @@ class TestComponentReport:
         assert all(v.ok for v in r.verdicts)
 
     def test_heavy_path_report(self, heavy_path):
-        r = component_report(
-            heavy_path.g, heavy_path.cactus, the_component(heavy_path)
-        )
+        r = verified_report(heavy_path)
         assert (r.cactus_count, r.anchored_count) == (3, 9)
         assert r.cactus_type_counts == (3, 0, 0, 0)
         assert r.chord_type_counts == (0, 0, 3)
@@ -165,9 +164,7 @@ class TestComponentReport:
         assert by_name["strict-coverage-bound"].detail == "9 <= 18 - 2"
 
     def test_skeleton_maps_cactus_faces(self, heavy_path):
-        r = component_report(
-            heavy_path.g, heavy_path.cactus, the_component(heavy_path)
-        )
+        r = verified_report(heavy_path)
         sk = r.skeleton
         assert set(sk.cactus_face_of) == {0, 5, 8}
         assert len(sk.super_face_ids) == 4
@@ -197,11 +194,12 @@ class TestComponentReport:
     def test_component_argument_is_validated(self, heavy_pair):
         g, c = heavy_pair.g, heavy_pair.cactus
         with pytest.raises(NotAComponentError):
-            component_report(g, c, ())
+            component_report(g, c, (), verified=True)
         with pytest.raises(NotAComponentError):
-            component_report(g, c, [0, 99])
+            component_report(g, c, [0, 99], verified=True)
         with pytest.raises(NotAComponentError):
-            component_report(g, c, [0, 1, 3])  # strict subset of a component
+            # strict subset of a component
+            component_report(g, c, [0, 1, 3], verified=True)
 
 
 class TestWholeCactus:
@@ -276,30 +274,34 @@ def _outer_counts_from_the_subgraph(g, comp, report):
 
 
 def _outer_count_cases():
+    """Every seventh acceptance row's 2-swap optimum, then the same cactus
+    minus one triangle, each with the verified flag to analyze it under."""
     specs = acceptance_corpus()[::7]
     for spec in specs:
         g = build_instance(spec)
         c, _ = local_search(g)
-        yield spec.label(), g, c
+        yield spec.label(), g, c, None
         if len(c):
             # Components of a cactus minus a triangle can nest in one
             # another's faces.
             short = c.copy()
             short.remove_triangle(short.triangle_ids[len(short) // 2])
-            yield spec.label() + " minus one", g, short
+            yield spec.label() + " minus one", g, short, True
 
 
-def test_outer_counts_match_the_component_subgraph(heavy_pair, heavy_path, heavy_shape_bad):
-    cases = [
-        (name, case.g, case.cactus)
-        for name, case in (
-            ("heavy_pair", heavy_pair),
-            ("heavy_path", heavy_path),
-            ("heavy_shape_bad", heavy_shape_bad),
-        )
+@pytest.fixture
+def heavy_cases(heavy_pair, heavy_path, heavy_shape_bad):
+    # heavy_shape_bad is not 2-swap optimal; only verified=True reports it
+    return [
+        ("heavy_pair", heavy_pair.g, heavy_pair.cactus, True),
+        ("heavy_path", heavy_path.g, heavy_path.cactus, True),
+        ("heavy_shape_bad", heavy_shape_bad.g, heavy_shape_bad.cactus, True),
     ]
+
+
+def test_outer_counts_match_the_component_subgraph(heavy_cases):
     checked = 0
-    for name, g, c in cases + list(_outer_count_cases()):
+    for name, g, c, _ in heavy_cases + list(_outer_count_cases()):
         for comp in c.components():
             if len(comp) == 1:
                 continue
@@ -308,3 +310,19 @@ def test_outer_counts_match_the_component_subgraph(heavy_pair, heavy_path, heavy
             assert got == _outer_counts_from_the_subgraph(g, comp, r), (name, comp)
             checked += 1
     assert checked > 60
+
+
+# sha256 of the sort_keys JSON reports of _outer_count_cases() followed by
+# the heavy fixtures.  Any change to a report field on these 67 cases
+# changes it; re-record it only for an intended change to the reports.
+REPORTS_SHA256 = "b8e7277ef34b76f8a2b18f8c471bdd9a08ed8b5da939b5da1c250cdd1f3118c4"
+
+
+def test_reports_match_the_frozen_digest(heavy_cases):
+    digest = hashlib.sha256()
+    cases = list(_outer_count_cases()) + heavy_cases
+    for _, g, c, verified in cases:
+        report = analyze_cactus(g, c, verified=verified)
+        digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
+    assert len(cases) == 67
+    assert digest.hexdigest() == REPORTS_SHA256

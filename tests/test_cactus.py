@@ -134,6 +134,18 @@ def test_from_triples_rejects_unknown(k4):
         cactus_from_triples(k4, [(9, 10, 11)])
 
 
+def test_boolean_triangle_ids_are_rejected():
+    octa = build_instance(GeneratorSpec("platonic", name="octahedron"))
+    assert len(octa.triangles) > 1  # True would alias a real triangle id
+    with pytest.raises(UnknownTriangleError):
+        TriangularCactus(octa, [True])
+    with pytest.raises(UnknownTriangleError):
+        is_valid_cactus(octa, [True, 1])
+    c = TriangularCactus(octa)
+    with pytest.raises(UnknownTriangleError):
+        c.try_add_triangle(False)
+
+
 def test_from_triples_rejects_repeat_and_conflict(k4, necklace):
     with pytest.raises(InvalidCactusError):
         cactus_from_triples(k4, [(0, 1, 2), (0, 1, 2)])

@@ -405,7 +405,9 @@ class TestCli:
             tmp_path, "--family", "random_maximal_planar", "--n", "30", "--seed", "7"
         )
         assert main(["oracle", "--in", str(inst)]) == 4
-        assert "oracle refused" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "oracle refused" in err
+        assert "--allow-large" in err
 
     def test_oracle_budget_exit_code(self, tmp_path, capsys):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "icosahedron")
@@ -481,6 +483,18 @@ class TestCli:
         assert code == 0
         assert "6 instances, 0 failures" in capsys.readouterr().out
         assert csv_path.exists() and side.exists()
+
+    def test_bench_rejects_negative_counts(self, tmp_path, capsys):
+        # Negative slicing would run a silently shortened corpus.
+        csv_path = tmp_path / "rows.csv"
+        for argv in (
+            ["--rmp-count", "2", "--limit", "-3"],
+            ["--rmp-count", "-4"],
+        ):
+            capsys.readouterr()
+            assert main(["bench", *argv, "--csv", str(csv_path)]) == 4
+            assert argv[-2] in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_io_failures_exit_4(self, tmp_path, capsys):
         assert main(["solve", "--in", str(tmp_path / "missing.json")]) == 4

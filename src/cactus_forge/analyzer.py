@@ -24,8 +24,10 @@ Vocabulary used throughout:
   vertices in the component; its unique component edge "supports" it.
 * heavy: a cactus triangle whose corner split collects enough crosses
   (see TriangleClass.heavy for the exact two-clause test).
-* skeleton: the component subgraph minus crossless chords; its faces
-  other than the cactus triangle faces are the super-faces.
+* skeleton: the component subgraph minus crossless chords, read off the
+  host drawing (its faces are host faces merged across deleted edges, not
+  a re-embedding); its faces other than the cactus triangle faces are the
+  super-faces.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     NotLocallyOptimalError,
 )
 from .local_search import verify_local_optimality
-from .plane_graph import FaceProvenance, PlaneGraph, plane_subgraph
+from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
 
 __all__ = [
@@ -120,18 +122,19 @@ class TriangleClass:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Component subgraph minus crossless chords, with face provenance.
+    """Component subgraph minus crossless chords, read off the host drawing.
 
-    graph is relabeled to 0..|component|-1 (sorted order); provenance maps
-    its faces back to merged host faces and its vertices back to host
-    labels.  cactus_face_of gives, per cactus triangle, the skeleton face
-    that is exactly the triangle's own host face; every other skeleton
-    face is a super-face.  outer_super_face is None in the degenerate
-    case where a cactus triangle itself bounds the host outer face.
+    Face i is a region of host faces merged across the deleted edges:
+    host_faces[i] holds them and face_darts[i] its boundary host darts,
+    ascending.  Faces are numbered by smallest host dart, as plane_subgraph
+    numbers them.  cactus_face_of gives, per cactus triangle, the skeleton
+    face that is exactly the triangle's own host face; every other
+    skeleton face is a super-face.  outer_super_face is None in the
+    degenerate case where a cactus triangle itself bounds the outer face.
     """
 
-    graph: PlaneGraph
-    provenance: FaceProvenance
+    face_darts: tuple[tuple[int, ...], ...]
+    host_faces: tuple[frozenset[int], ...]
     cactus_face_of: Mapping[int, int]
     super_face_ids: tuple[int, ...]
     outer_super_face: int | None
@@ -164,7 +167,8 @@ class SuperFace:
     cross triangle.  Capacity is |free| + |occupied| / 2, tracked in
     halves to stay in integers; gain is capacity minus the surviving
     triangular host faces (all three corners inside the component) drawn
-    in this region.  label = (occupied sides, free sides of
+    in this region.  sides lists (edge, occupied) per boundary dart in
+    ascending host-dart order.  label = (occupied sides, free sides of
     single-crossed chords, base sides of crossless triangles); it and the
     fields after it are only filled in on all-heavy components.
     """
@@ -306,11 +310,10 @@ class _ComponentAnalysis:
             # caller's problem; on a verified optimum it is kept and fails
             # the heavy-shape verdict below.
             raise NotLocallyOptimalError(notes[0])
-        skel = self._skeleton(edges)
         occupied_darts = {
             cr.side_dart for ec in edges.values() for cr in ec.crosses
         }
-        outer_len, outer_occ = self._outer_boundary(occupied_darts)
+        skel, outer_len, outer_occ = self._regions(edges, occupied_darts)
         outer_free = outer_len - outer_occ
         all_heavy = bool(tris) and all(tc.heavy for tc in tris.values())
         # Labels need every triangle heavy and every shape check clean;
@@ -649,65 +652,71 @@ class _ComponentAnalysis:
 
     # -- stage 3: skeleton ----------------------------------------------
 
-    def _skeleton(self, edges: dict[tuple[int, int], EdgeClass]) -> Skeleton:
-        dropped = [e for e, ec in edges.items() if ec.kind == "type-0"]
-        h, prov = plane_subgraph(self.g, self.s, dropped)
-        expected = 3 * len(self.tri_ids) + sum(
-            1 for ec in edges.values() if ec.kind in ("type-1", "type-2")
-        )
-        if len(h.edges) != expected:
+    def _regions(
+        self, edges: dict[tuple[int, int], EdgeClass], occupied_darts: set[int]
+    ) -> tuple[Skeleton, int, int]:
+        """The skeleton, and the length and occupied sides of the outer face
+        of the component subgraph (the region holding the host outer face).
+
+        Deleting an edge merges the host faces on its two sides: first the
+        edges leaving the component, which gives the component subgraph's
+        faces, then the type-0 chords, which gives the skeleton's.
+        """
+        g, s = self.g, self.s
+        twin, face_of = g.twin, g.face_of_dart
+        regions = DisjointSet(len(g.faces))
+        inside = []
+        for d in range(g.dart_count):
+            if g.tail[d] in s and g.head[d] in s:
+                inside.append(d)
+            elif d < twin[d]:
+                regions.union(face_of[d], face_of[twin[d]])
+        outer = regions.find(g.outer_face_id)
+        boundary = [d for d in inside if regions.find(face_of[d]) == outer]
+        if inside and not boundary:
             raise IdentityViolationError(
-                f"skeleton has {len(h.edges)} edges, expected {expected}"
+                "outer region of the component subgraph has no boundary dart"
             )
+
+        chords = {g.dart_id(*e) for e, ec in edges.items() if ec.kind == "type-0"}
+        for d in chords:
+            regions.union(face_of[d], face_of[twin[d]])
+        darts_of: dict[int, list[int]] = {}
+        for d in inside:
+            if d not in chords and twin[d] not in chords:
+                darts_of.setdefault(regions.find(face_of[d]), []).append(d)
+        # Roots come up in order of their faces' smallest darts; an edgeless
+        # skeleton (a singleton component) is one face.
+        darts_of = darts_of or {regions.find(g.outer_face_id): []}
+        fid_of = {root: fid for fid, root in enumerate(darts_of)}
+        host_faces: list[set[int]] = [set() for _ in darts_of]
+        for hf in range(len(g.faces)):
+            fid = fid_of.get(regions.find(hf))
+            if fid is None:
+                raise IdentityViolationError(
+                    f"host face {hf} merged into a region with no skeleton dart"
+                )
+            host_faces[fid].add(hf)
+
         cactus_face_of: dict[int, int] = {}
         for tid in self.tri_ids:
-            hf = self.g.triangles[tid].face_id
-            fid = prov.sub_of_host_face[hf]
-            if prov.merged_host_faces[fid] != frozenset({hf}):
+            hf = g.triangles[tid].face_id
+            cactus_face_of[tid] = fid = fid_of[regions.find(hf)]
+            if host_faces[fid] != {hf}:
                 raise IdentityViolationError(
                     f"face of cactus triangle {tid} merged with other regions"
                 )
-            cactus_face_of[tid] = fid
         own = set(cactus_face_of.values())
-        if len(own) != len(self.tri_ids):
-            raise IdentityViolationError("two cactus triangles share a skeleton face")
-        super_ids = tuple(f.id for f in h.faces if f.id not in own)
-        outer = prov.sub_of_host_face[self.g.outer_face_id]
-        return Skeleton(
-            graph=h,
-            provenance=prov,
+        super_ids = tuple(f for f in range(len(fid_of)) if f not in own)
+        outer = fid_of[regions.find(g.outer_face_id)]
+        skel = Skeleton(
+            face_darts=tuple(map(tuple, darts_of.values())),
+            host_faces=tuple(map(frozenset, host_faces)),
             cactus_face_of=cactus_face_of,
             super_face_ids=super_ids,
             outer_super_face=outer if outer in super_ids else None,
         )
-
-    def _outer_boundary(self, occupied_darts: set[int]) -> tuple[int, int]:
-        """Length and occupied sides of the outer face of the component
-        subgraph (before chord removal).
-
-        Deleting the edges outside the component merges the host faces on
-        their two sides; the outer face is the region holding the host's
-        outer face, and its boundary is the component's darts in it.
-        """
-        g, s = self.g, self.s
-        tail, head = g.tail, g.head
-        face_of = g.face_of_dart
-        regions = DisjointSet(len(g.faces))
-        inside = []
-        for d in range(g.dart_count):
-            if tail[d] in s and head[d] in s:
-                inside.append(d)
-            elif d < g.twin[d]:
-                regions.union(face_of[d], face_of[g.twin[d]])
-        if not inside:
-            return 0, 0
-        outer = regions.find(g.outer_face_id)
-        boundary = [d for d in inside if regions.find(face_of[d]) == outer]
-        if not boundary:
-            raise IdentityViolationError(
-                "outer region of the component subgraph has no boundary dart"
-            )
-        return len(boundary), sum(d in occupied_darts for d in boundary)
+        return skel, len(boundary), sum(d in occupied_darts for d in boundary)
 
     # -- stage 4: super-faces ---------------------------------------------
 
@@ -724,13 +733,9 @@ class _ComponentAnalysis:
         """Occupancy, capacity and gain accounting per skeleton super-face,
         labelled when labels_on and graded against its floor when graded."""
         g, s = self.g, self.s
-        h, prov = skel.graph, skel.provenance
-        to_host = prov.to_host_vertex
 
         records = []
-        for f in h.faces:
-            if f.id not in skel.super_face_ids:
-                continue
+        for fid in skel.super_face_ids:
             occ = free = 0
             sides: list[tuple[tuple[int, int], bool]] = []
             tally = {
@@ -743,31 +748,27 @@ class _ComponentAnalysis:
                 "free_crossed": 0,
             }
             pairs: list[tuple[int, int, int]] = []
-            for walk in f.walks:
-                n_w = len(walk)
-                for i, d in enumerate(walk):
-                    hu, hv = to_host[h.tail[d]], to_host[h.head[d]]
-                    hd = g.dart_id(hu, hv)
-                    e = (hu, hv) if hu < hv else (hv, hu)
-                    hot = hd in occupied_darts
-                    occ += hot
-                    free += not hot
-                    sides.append((e, hot))
-                    if labels_on:
-                        tally[self._side_role(edges[e], tris, hot)] += 1
-                        nxt = walk[(i + 1) % n_w]
-                        pair = self._friendly_pair(d, nxt, skel, edges, tris)
-                        if pair is not None:
-                            pairs.append(pair)
+            for d in skel.face_darts[fid]:
+                u, v = g.tail[d], g.head[d]
+                e = (u, v) if u < v else (v, u)
+                hot = d in occupied_darts
+                occ += hot
+                free += not hot
+                sides.append((e, hot))
+                if labels_on:
+                    tally[self._side_role(edges[e], tris, hot)] += 1
+                    pair = self._friendly_pair(d, edges, tris)
+                    if pair is not None:
+                        pairs.append(pair)
             survive = sum(
                 1
-                for hf in prov.merged_host_faces[f.id]
+                for hf in skel.host_faces[fid]
                 if g.faces[hf].is_triangle
                 and all(v in s for v in g.faces[hf].vertices)
             )
             cap_half = 2 * free + occ
             gain_half = cap_half - 2 * survive
-            is_outer = f.id == skel.outer_super_face
+            is_outer = fid == skel.outer_super_face
             counts = label = floor = gain_ok = None
             if labels_on:
                 counts = BoundaryCounts(**tally)
@@ -778,7 +779,7 @@ class _ComponentAnalysis:
                 )
                 if label[0] != occ:
                     raise IdentityViolationError(
-                        f"occupied sides of super-face {f.id} disagree with "
+                        f"occupied sides of super-face {fid} disagree with "
                         f"their role decomposition ({occ} vs {label[0]})"
                     )
             if graded:
@@ -789,15 +790,15 @@ class _ComponentAnalysis:
                 gain_ok = floor is not None and gain_half >= floor
             records.append(
                 SuperFace(
-                    face_id=f.id,
+                    face_id=fid,
                     is_outer=is_outer,
-                    boundary_len=f.length,
+                    boundary_len=len(sides),
                     occupied=occ,
                     free=free,
                     survive=survive,
                     capacity_half=cap_half,
                     gain_half=gain_half,
-                    host_faces=prov.merged_host_faces[f.id],
+                    host_faces=skel.host_faces[fid],
                     sides=tuple(sides),
                     counts=counts,
                     label=label,
@@ -828,23 +829,22 @@ class _ComponentAnalysis:
     def _friendly_pair(
         self,
         d1: int,
-        d2: int,
-        skel: Skeleton,
         edges: dict[tuple[int, int], EdgeClass],
         tris: dict[int, TriangleClass],
     ) -> tuple[int, int, int] | None:
         """Detect the friendly corner w1 -> v -> w2 between two triangles.
 
-        Both walk darts must ride free edges of distinct cactus triangles,
-        entered from / leaving to their free vertices, and the host corner
-        at v must be an empty triangle: no further host darts between the
-        two edges, and the corner face closed off by a w1-w2 edge.
+        d1 = w1 -> v and its host face successor v -> w2 must ride free
+        edges of distinct cactus triangles, entered from / leaving to their
+        free vertices, and the host corner at v must be an empty triangle:
+        being face successors leaves no host darts between the two edges,
+        and the corner face must be closed off by a w1-w2 edge.
         """
         g = self.g
-        to_host = skel.provenance.to_host_vertex
-        h = skel.graph
-        w1, v = to_host[h.tail[d1]], to_host[h.head[d1]]
-        w2 = to_host[h.head[d2]]
+        w1, v = g.tail[d1], g.head[d1]
+        w2 = g.head[g.face_next[d1]]
+        if w2 not in self.s:
+            return None
         e1 = (w1, v) if w1 < v else (v, w1)
         e2 = (v, w2) if v < w2 else (w2, v)
         ec1, ec2 = edges[e1], edges[e2]
@@ -853,10 +853,7 @@ class _ComponentAnalysis:
         t1, t2 = tris[ec1.owner], tris[ec2.owner]
         if w1 != t1.free_vertex or w2 != t2.free_vertex:
             return None
-        hd1, hd2 = g.dart_id(w1, v), g.dart_id(v, w2)
-        if g.face_next[hd1] != hd2:
-            return None
-        if not g.faces[g.face_of_dart[hd1]].is_triangle:
+        if not g.faces[g.face_of_dart[d1]].is_triangle:
             return None
         return (t1.triangle_id, t2.triangle_id, v)
 

@@ -499,6 +499,8 @@ def acceptance_corpus(rmp_count: int = 200) -> tuple[GeneratorSpec, ...]:
     Triangulation sizes cycle over n in [4, 64] as the seed increases, so
     any prefix of the corpus still spans small and large instances.
     """
+    if rmp_count < 0:
+        raise CactusForgeError(f"rmp_count must be at least 0, got {rmp_count}")
     specs = [
         GeneratorSpec("random_maximal_planar", n=4 + (i % 61), seed=i)
         for i in range(rmp_count)

@@ -115,7 +115,6 @@ class _Core:
         "tail",
         "head",
         "twin",
-        "next_at_vertex",
         "face_next",
         "dart_of",
         "walks",
@@ -161,14 +160,10 @@ def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
             raise AsymmetricAdjacencyError(tail[d], head[d])
         twin[d] = t
 
-    nxt = [0] * dart_count
     prv = [0] * dart_count
     for u, nbrs in enumerate(rotations):
-        k = len(nbrs)
         for i, v in enumerate(nbrs):
-            d = dart_of[(u, v)]
-            nxt[d] = dart_of[(u, nbrs[(i + 1) % k])]
-            prv[d] = dart_of[(u, nbrs[(i - 1) % k])]
+            prv[dart_of[(u, v)]] = dart_of[(u, nbrs[i - 1])]
 
     # Successor along the face: at the head of d, turn to the rotation
     # predecessor of the reverse dart.  Keeps the face on the left.
@@ -222,7 +217,6 @@ def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
     core.tail = tail
     core.head = head
     core.twin = twin
-    core.next_at_vertex = nxt
     core.face_next = face_next
     core.dart_of = dart_of
     core.walks = walks
@@ -271,7 +265,6 @@ class PlaneGraph:
         "tail",
         "head",
         "twin",
-        "next_at_vertex",
         "face_next",
         "faces",
         "face_of_dart",
@@ -300,7 +293,6 @@ class PlaneGraph:
         self.tail = tuple(core.tail)
         self.head = tuple(core.head)
         self.twin = tuple(core.twin)
-        self.next_at_vertex = tuple(core.next_at_vertex)
         self.face_next = tuple(core.face_next)
         self._dart_of = core.dart_of
         self.dart_count = len(core.tail)

@@ -169,8 +169,8 @@ class TestComponentReport:
         assert set(sk.cactus_face_of) == {0, 5, 8}
         assert len(sk.super_face_ids) == 4
         assert sk.outer_super_face in sk.super_face_ids
-        # cactus faces and super-faces together tile the skeleton graph
-        assert len(sk.graph.faces) == len(sk.super_face_ids) + 3
+        # cactus faces and super-faces together tile the skeleton
+        assert len(sk.face_darts) == len(sk.super_face_ids) + 3
 
     def test_light_components_skip_grading(self, heavy_pair):
         octa = build_instance(GeneratorSpec("platonic", name="octahedron"))
@@ -308,6 +308,38 @@ def test_outer_counts_match_the_component_subgraph(heavy_cases):
             r = component_report(g, c, comp, verified=True)
             got = (r.outer_len, r.outer_occupied, r.outer_free)
             assert got == _outer_counts_from_the_subgraph(g, comp, r), (name, comp)
+            checked += 1
+    assert checked > 60
+
+
+def test_skeleton_matches_the_component_subgraph(heavy_cases):
+    checked = 0
+    for name, g, c, _ in heavy_cases + list(_outer_count_cases()):
+        for comp in c.components():
+            if len(comp) == 1:
+                continue
+            r = component_report(g, c, comp, verified=True)
+            sk = r.skeleton
+            type0 = [e for e, ec in r.edges.items() if ec.kind == "type-0"]
+            sub, prov = plane_subgraph(g, comp, type0)
+            host = prov.to_host_vertex
+            assert len(sk.face_darts) == len(sub.faces), (name, comp)
+            for f in sub.faces:
+                darts = sorted(
+                    g.dart_id(host[sub.tail[d]], host[sub.head[d]])
+                    for d in f.boundary
+                )
+                assert sk.face_darts[f.id] == tuple(darts), (name, comp, f.id)
+                assert sk.host_faces[f.id] == prov.merged_host_faces[f.id]
+            own = {
+                t: prov.sub_of_host_face[g.triangles[t].face_id] for t in r.triangles
+            }
+            assert sk.cactus_face_of == own, (name, comp)
+            supers = tuple(f.id for f in sub.faces if f.id not in own.values())
+            assert sk.super_face_ids == supers, (name, comp)
+            outer = prov.sub_of_host_face[g.outer_face_id]
+            expected_outer = outer if outer in supers else None
+            assert sk.outer_super_face == expected_outer, (name, comp)
             checked += 1
     assert checked > 60
 

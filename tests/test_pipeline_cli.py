@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cactus_forge import (
+    CactusForgeError,
     GeneratorSpec,
     SearchConfig,
     acceptance_corpus,
@@ -202,8 +203,6 @@ class TestWorkerCount:
         assert worker_count() == 1
 
     def test_malformed_env_is_an_error(self, monkeypatch):
-        from cactus_forge import CactusForgeError
-
         # a typo'd env var should fail loudly, not silently serialize
         monkeypatch.setenv("CACTUS_FORGE_THREADS", "definitely-not-a-number")
         with pytest.raises(CactusForgeError):
@@ -227,6 +226,10 @@ class TestCorpusHarness:
 
     def test_rmp_count_is_adjustable(self):
         assert len(acceptance_corpus(rmp_count=10)) == 10 + 19
+
+    def test_negative_rmp_count_is_an_error(self):
+        with pytest.raises(CactusForgeError, match="rmp_count"):
+            acceptance_corpus(-4)
 
     def test_prefix_run_is_clean_and_ordered(self):
         corpus = acceptance_corpus(rmp_count=8)[:8]

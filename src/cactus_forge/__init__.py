@@ -1,7 +1,7 @@
 """Triangular-cactus subgraphs of plane graphs.
 
 Find a large set of edge-disjoint triangular faces with a 2-swap local
-search, check it against exact small-instance oracles, analyze the
+search, check it against beta from a matroid parity oracle, analyze the
 component structure of the result, and drive planar-subgraph
 approximation pipelines from the command line.
 """
@@ -37,7 +37,12 @@ from .local_search import (
     local_search,
     verify_local_optimality,
 )
-from .oracle import OracleResult, exact_beta_all_triangles, exact_beta_faces
+from .oracle import (
+    OracleResult,
+    exact_beta_all_triangles,
+    exact_beta_faces,
+    max_cactus,
+)
 from .pipeline import (
     BenchRow,
     CorpusResult,
@@ -85,6 +90,7 @@ __all__ = [
     "OracleResult",
     "exact_beta_faces",
     "exact_beta_all_triangles",
+    "max_cactus",
     "CactusReport",
     "ComponentReport",
     "analyze_cactus",

@@ -325,7 +325,8 @@ def triples_form_cactus(triples: Iterable[Sequence[int]]) -> bool:
 
     True iff the implied edge sets are pairwise disjoint and
     spanned_vertices - spanned_components = 2k.  Host-independent so the
-    exact solvers can reuse it for non-face (even non-planar) triangles.
+    oracle's witness check can reuse it for non-face (even non-planar)
+    triangles.
     """
     triples = [tuple(sorted(t)) for t in triples]
     edges: set[tuple[int, int]] = set()

@@ -67,11 +67,11 @@ class InvalidCactusError(CactusForgeError, ValueError):
 
 
 class CandidateGuardError(CactusForgeError, ValueError):
-    """The exact solver was handed more candidates than its guard allows."""
+    """The witness search was handed more candidates than its guard allows."""
 
     def __init__(self, count: int, guard: int):
         super().__init__(
-            f"{count} candidate triangles exceed the exact-solver guard of {guard}; "
+            f"{count} candidate triangles exceed the witness guard of {guard}; "
             "pass allow_large=True (--allow-large on the command line) to override"
         )
         self.count = count
@@ -79,15 +79,16 @@ class CandidateGuardError(CactusForgeError, ValueError):
 
 
 class BudgetExceededError(CactusForgeError, RuntimeError):
-    """The exact solver ran out of node budget.
+    """The witness search ran out of rank evaluations.
 
-    The partial (non-exhaustive) result is attached as ``.result``; it is a
-    valid lower-bound witness but must never be used as ground truth.
+    The value is already known and rides along as ``.result``, with the
+    evaluations made so far as its ``nodes_explored``; no witness does.
     """
 
     def __init__(self, result):
         super().__init__(
-            f"exact search exhausted its node budget after {result.nodes_explored} nodes"
+            f"witness search exhausted its budget after {result.nodes_explored} "
+            "rank evaluations"
         )
         self.result = result
 

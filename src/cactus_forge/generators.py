@@ -15,6 +15,7 @@ bounded triangular faces written as counterclockwise vertex triples
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import TooSmallError, UnknownFamilyError
@@ -52,12 +53,15 @@ class GeneratorSpec:
     height: int = 0
 
     def label(self) -> str:
+        # Labels key rows, sidecars and callers' per-instance records, and a
+        # benchmark rebuilds its specs on every pass; interning keeps one
+        # string per distinct label however often that happens.
         if self.family == "platonic":
-            return f"platonic:{self.name}"
+            return sys.intern(f"platonic:{self.name}")
         if self.family == "grid_triangulation":
             w = self.width or self.n
             h = self.height or self.n
-            return f"grid:{w}x{h}"
+            return sys.intern(f"grid:{w}x{h}")
         bits = f"{self.family}:n{self.n}"
         if self.family == "random_maximal_planar":
             bits += f":s{self.seed}"
@@ -65,7 +69,7 @@ class GeneratorSpec:
                 bits += f":f{self.flips}"
         elif self.family == "apollonian":
             bits += f":s{self.seed}"
-        return bits
+        return sys.intern(bits)
 
 
 def build(spec: GeneratorSpec) -> PlaneGraph:

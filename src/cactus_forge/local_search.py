@@ -164,30 +164,33 @@ class _MoveScan:
             and (lw := label[w]) != la and lw != lb
         ]
 
-        def walk(entries, start: int, need: int, acc: tuple[int, ...]):
-            cursor = start
-            for i, (pos, y, a, b, w) in enumerate(entries):
-                self.examined += pos - cursor + 1
-                cursor = pos + 1
-                if need == 1:
-                    yield acc + (y,)
-                    continue
-                # Adding y merges components a, b and w into a.
-                deeper = []
-                for p, z, la, lb, lw in islice(entries, i + 1, None):
-                    if la == b or la == w:
-                        la = a
-                    if lb == b or lb == w:
-                        lb = a
-                    if lw == b or lw == w:
-                        lw = a
-                    if la != lb and lb != lw and la != lw:
-                        deeper.append((p, z, la, lb, lw))
-                yield from walk(deeper, cursor, need - 1, acc + (y,))
-            self.examined += end - cursor
-
-        for add in walk(level, 0, len(removal) + 1, ()):
+        for add in self._walk(level, 0, len(removal) + 1, (), end):
             yield SwapMove(remove=removal, add=add)
+
+    # A method, not a closure inside _stage: a nested generator that calls
+    # itself refers to itself through its closure cell, a reference cycle
+    # that keeps the scan's lists alive until the cyclic collector runs.
+    def _walk(self, entries, start: int, need: int, acc: tuple[int, ...], end: int):
+        cursor = start
+        for i, (pos, y, a, b, w) in enumerate(entries):
+            self.examined += pos - cursor + 1
+            cursor = pos + 1
+            if need == 1:
+                yield acc + (y,)
+                continue
+            # Adding y merges components a, b and w into a.
+            deeper = []
+            for p, z, la, lb, lw in islice(entries, i + 1, None):
+                if la == b or la == w:
+                    la = a
+                if lb == b or lb == w:
+                    lb = a
+                if lw == b or lw == w:
+                    lw = a
+                if la != lb and lb != lw and la != lw:
+                    deeper.append((p, z, la, lb, lw))
+            yield from self._walk(deeper, cursor, need - 1, acc + (y,), end)
+        self.examined += end - cursor
 
 
 def find_improving_swap(

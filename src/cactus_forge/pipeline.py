@@ -8,7 +8,7 @@ recount its triangular faces, confirming the count equals delta.
 
 verify_corpus sweeps a corpus of generator specs, solving each instance
 at three strengths (greedy, 1-swap, 2-swap), analyzing the 2-swap result,
-and calling the exact oracle when the instance is small enough.  Rows are
+and taking beta from the parity oracle on every row.  Rows are
 computed concurrently but reduced in corpus order, and wall-clock numbers
 are confined to the JSON sidecar, so the CSV is byte-identical across
 runs with the same corpus and config.
@@ -28,14 +28,10 @@ from typing import Iterable, Sequence
 from . import analyzer
 from .analyzer import CactusReport, analyze_cactus
 from .cactus import cactus_to_triples
-from .errors import (
-    BudgetExceededError,
-    CactusForgeError,
-    IdentityViolationError,
-)
+from .errors import CactusForgeError, IdentityViolationError
 from .generators import GeneratorSpec, build
 from .local_search import SearchConfig, greedy_initial, local_search
-from .oracle import CANDIDATE_GUARD, exact_beta_faces
+from .oracle import exact_beta_faces
 from .plane_graph import PlaneGraph, plane_subgraph
 from .unionfind import DisjointSet
 
@@ -195,9 +191,10 @@ class BenchRow:
 
     Wall-clock fields are excluded from the CSV (see CSV_COLUMNS) so the
     CSV stays deterministic; they travel in the JSON sidecar instead.
-    beta_faces is None when the oracle was skipped (too many candidates)
-    or gave up (budget); the sidecar's oracle_status says which.  failures
-    is empty on a clean row.
+    beta_faces is the parity oracle's beta over the triangular faces; it
+    is None only on a row that failed before the oracle ran.  The
+    sidecar's oracle_status says whether it reached the ceiling (and so
+    is certain).  failures is empty on a clean row.
     """
 
     instance: str
@@ -323,14 +320,15 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
 
     Never raises: every error becomes a failure string on the row, and
     its traceback goes to the sidecar, so a broken instance cannot take
-    down the sweep.  The sidecar also records why beta is or is not known:
-    oracle_status is "exact", "guard" (too many candidates), "budget"
-    (node budget ran out) or "error" (the row failed before or inside the
-    oracle), next to the oracle_nodes it explored.
+    down the sweep.  The sidecar also records how sure beta is:
+    oracle_status is "parity-ceiling" (the parity rank reached the
+    ceiling, so beta is certain), "parity" (below the ceiling, so beta is
+    right with high probability) or "error" (the row failed before or
+    inside the oracle), next to that ceiling.
     """
     label = spec.label()
     failures: list[str] = []
-    sidecar: dict = {"instance": label, "oracle_status": "error", "oracle_nodes": 0}
+    sidecar: dict = {"instance": label, "oracle_status": "error", "ceiling": None}
     try:
         g = build(spec)
     except Exception as exc:
@@ -386,26 +384,16 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
             if v.required:
                 failures.append(f"verdict {v.name}: {v.detail}")
 
-        if g.f3_all > CANDIDATE_GUARD:
-            sidecar["oracle_status"] = "guard"
-        else:
-            start = time.perf_counter()
-            try:
-                res = exact_beta_faces(g)
-                sidecar["oracle_nodes"] = res.nodes_explored
-                if res.exhausted:
-                    sidecar["oracle_status"] = "exact"
-                    beta = res.optimum
-                    if d2 > beta:
-                        failures.append(f"oracle: delta_2swap {d2} > beta {beta}")
-                    if 2 * d_greedy < beta:
-                        failures.append(
-                            f"oracle: 2*delta_greedy {2 * d_greedy} < beta {beta}"
-                        )
-            except BudgetExceededError as exc:
-                sidecar["oracle_status"] = "budget"
-                sidecar["oracle_nodes"] = exc.result.nodes_explored
-            t_oracle = time.perf_counter() - start
+        start = time.perf_counter()
+        res = exact_beta_faces(g)
+        t_oracle = time.perf_counter() - start
+        sidecar["oracle_status"] = "parity-ceiling" if res.exhausted else "parity"
+        sidecar["ceiling"] = res.ceiling
+        beta = res.optimum
+        if d2 > beta:
+            failures.append(f"oracle: delta_2swap {d2} > beta {beta}")
+        if 2 * d_greedy < beta:
+            failures.append(f"oracle: 2*delta_greedy {2 * d_greedy} < beta {beta}")
     except IdentityViolationError as exc:
         failures.append(f"identity: {exc}")
         sidecar["traceback"] = traceback.format_exc()
@@ -445,16 +433,22 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
 
 def worker_count(requested: int | None = None) -> int:
     """Resolve worker count: argument, then CACTUS_FORGE_THREADS, then 1."""
+    # 0 means one worker; a negative count is a typo, not a request.
     if requested is not None:
+        if requested < 0:
+            raise CactusForgeError(f"--threads must be at least 0, got {requested}")
         return max(1, requested)
     env = os.environ.get("CACTUS_FORGE_THREADS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise CactusForgeError(
                 f"CACTUS_FORGE_THREADS must be an integer, got {env!r}"
             ) from None
+        if count < 0:
+            raise CactusForgeError(f"CACTUS_FORGE_THREADS must be at least 0, got {env!r}")
+        return max(1, count)
     return 1
 
 

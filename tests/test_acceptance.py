@@ -25,6 +25,8 @@ from cactus_forge import (
     mps_pipeline,
     verify_corpus,
 )
+from cactus_forge.oracle import CANDIDATE_GUARD
+from reference_oracle import reference_beta
 
 CORPUS = acceptance_corpus()
 
@@ -70,19 +72,42 @@ def test_criterion_1_coverage_bound_over_corpus(corpus_run):
 
 def test_criterion_2_oracle_dominance(corpus_run):
     res, _ = corpus_run
-    silently_skipped = [
-        r.instance for r in res.rows if r.f3_all <= 40 and r.beta_faces is None
-    ]
-    checked = [r for r in res.rows if r.beta_faces is not None]
+    missing = [r.instance for r in res.rows if r.beta_faces is None]
     bad = [
         r.instance
-        for r in checked
-        if r.delta_2swap > r.beta_faces or 2 * r.delta_greedy < r.beta_faces
+        for r in res.rows
+        if r.beta_faces is not None
+        and (r.delta_2swap > r.beta_faces or 2 * r.delta_greedy < r.beta_faces)
     ]
+    # Beta reaches the ceiling on every corpus row, so each beta here is
+    # certain, not only likely.
+    certain = sum(side["oracle_status"] == "parity-ceiling" for side in res.reports)
     emit(
         "exact optimum dominates, greedy reaches half",
-        bool(checked) and not bad and not silently_skipped,
-        f"{len(checked)} instances oracle-checked, {len(bad)} violations",
+        len(res.rows) == len(CORPUS) == certain and not missing and not bad,
+        f"{len(res.rows) - len(missing)} instances oracle-checked "
+        f"({certain} at the ceiling), {len(missing)} without beta, "
+        f"{len(bad)} violations",
+    )
+
+
+def test_parity_matches_branch_and_bound(corpus_run):
+    res, _ = corpus_run
+    small = [
+        (spec, row) for spec, row in zip(CORPUS, res.rows)
+        if row.f3_all <= CANDIDATE_GUARD
+    ]
+    differ = [
+        row.instance
+        for spec, row in small
+        if reference_beta([t.vertices for t in build_instance(spec).triangles])
+        != row.beta_faces
+    ]
+    emit(
+        "parity rank equals branch and bound",
+        bool(small) and not differ,
+        f"{len(small)} instances with at most {CANDIDATE_GUARD} candidates, "
+        f"{len(differ)} differ",
     )
 
 

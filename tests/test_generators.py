@@ -108,3 +108,9 @@ def test_labels():
     assert GeneratorSpec("grid_triangulation", width=3, height=3).label() == "grid:3x3"
     assert GeneratorSpec("wheel", n=6).label() == "wheel:n6"
     assert GeneratorSpec("apollonian", n=10, seed=3).label() == "apollonian:n10:s3"
+    # Rebuilt specs share one label string, so records kept per pass do not
+    # each hold a copy.
+    for spec in (GeneratorSpec("random_maximal_planar", n=16, seed=5),
+                 GeneratorSpec("platonic", name="octahedron"),
+                 GeneratorSpec("grid_triangulation", width=3, height=3)):
+        assert spec.label() is GeneratorSpec(**vars(spec)).label()

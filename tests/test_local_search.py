@@ -1,5 +1,7 @@
 """Greedy start, t-swap improvement, and the independent optimality check."""
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -354,3 +356,18 @@ def test_scan_matches_the_reference_walk_on_small_cacti(n, seed, strength, drop)
     if drop and len(c):
         c.remove_triangle(c.triangle_ids[seed % len(c)])
     _assert_scans_agree(g, c)
+
+
+def test_a_finished_scan_is_freed_without_the_cycle_collector(rmp16):
+    # A reference cycle would keep the scan, its free list and the tour
+    # alive until the cyclic collector runs.
+    c, _ = local_search(rmp16)
+    gc.disable()
+    try:
+        scan = _MoveScan(rmp16, c, pruned=False)
+        assert list(scan.moves(2)) == []  # every stage ran
+        ref = weakref.ref(scan)
+        del scan
+        assert ref() is None
+    finally:
+        gc.enable()

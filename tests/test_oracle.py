@@ -1,5 +1,6 @@
-"""Branch-and-bound exact optima on small instances."""
+"""β by matroid parity, checked against branch and bound and brute force."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,11 +16,13 @@ from cactus_forge import (
     exact_beta_faces,
     greedy_initial,
     local_search,
+    max_cactus,
 )
 from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.cli import main
-from cactus_forge.oracle import CANDIDATE_GUARD
+from cactus_forge.oracle import CANDIDATE_GUARD, clique_candidates, face_candidates
 from cactus_forge.plane_graph import dump_instance, plane_subgraph
+from reference_oracle import reference_beta
 
 
 @pytest.fixture(scope="module")
@@ -32,20 +35,30 @@ def icosa():
     return build_instance(GeneratorSpec("platonic", name="icosahedron"))
 
 
-def check_witness(g, res):
-    faces = {t.vertices for t in g.triangles}
-    assert len(res.witness) == res.optimum
-    assert all(t in faces for t in res.witness)
-    assert triples_form_cactus(res.witness)
+def faces_of(g):
+    return [t.vertices for t in g.triangles]
+
+
+def checked_witness(cands, res):
+    """The self-reduction's witness, checked against the value ``res``."""
+    wres, witness = max_cactus(cands, allow_large=True)
+    assert (wres.optimum, wres.ceiling, wres.exhausted) == (
+        res.optimum, res.ceiling, res.exhausted
+    )
+    assert wres.nodes_explored <= 1 + len(cands)
+    assert len(witness) == res.optimum
+    assert set(witness) <= set(cands)
+    assert triples_form_cactus(witness)
+    return witness
 
 
 def test_platonic_optima(k4, octa, icosa):
     for g, expected in ((k4, 1), (octa, 2), (icosa, 5)):
         res = exact_beta_faces(g)
-        assert res.optimum == expected
+        assert res.optimum == res.ceiling == expected
         assert res.exhausted
-        assert res.nodes_explored > 0
-        check_witness(g, res)
+        assert res.nodes_explored == 1
+        checked_witness(faces_of(g), res)
 
 
 def test_small_fixture_optima(triangle, double_ear, bowtie, necklace, prism9):
@@ -61,7 +74,8 @@ def test_small_fixture_optima(triangle, double_ear, bowtie, necklace, prism9):
     for name, (g, beta) in expected.items():
         res = exact_beta_faces(g)
         assert res.optimum == beta, name
-        check_witness(g, res)
+        assert res.optimum == reference_beta(faces_of(g)), name
+        checked_witness(faces_of(g), res)
 
 
 def test_handmade_optima_match_oracle(heavy_pair, heavy_path):
@@ -96,26 +110,44 @@ def test_all_triangles_accepts_abstract_graphs():
     res = exact_beta_all_triangles(k5_adj)
     assert res.optimum == 2
     assert exact_beta_all_triangles(k5_edges).optimum == 2
-    assert triples_form_cactus(res.witness)
+    checked_witness(clique_candidates(k5_edges), res)
+
+
+def test_below_the_ceiling_the_value_is_not_certain():
+    # Three triangles on the one edge 01: any two share it, so beta is 1,
+    # while five vertices in one component allow 2.
+    book = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
+    res = exact_beta_all_triangles(book)
+    assert (res.optimum, res.ceiling, res.exhausted) == (1, 2, False)
+    checked_witness(clique_candidates(book), res)
+
+
+def test_ceiling_sums_over_candidate_components(two_k4):
+    # Two K4s: one triangle each, not floor((8 - 1) / 2) = 3.
+    res = exact_beta_faces(two_k4)
+    assert (res.optimum, res.ceiling, res.exhausted) == (2, 2, True)
 
 
 def test_candidate_guard():
+    # The guard holds only for the witness; the value needs one rank.
     g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
     assert g.f3_all > CANDIDATE_GUARD
+    res = exact_beta_faces(g)
+    assert res.optimum == res.ceiling == 14 and res.exhausted
     with pytest.raises(CandidateGuardError) as exc:
-        exact_beta_faces(g)
+        max_cactus(face_candidates(g))
     assert exc.value.count == g.f3_all
     assert exc.value.guard == CANDIDATE_GUARD
+    checked_witness(face_candidates(g), res)
 
 
 def test_budget_carries_partial_result(icosa):
+    # The budget counts rank evaluations; the value rides along.
     with pytest.raises(BudgetExceededError) as exc:
-        exact_beta_faces(icosa, budget=10)
+        max_cactus(face_candidates(icosa), budget=10)
     partial = exc.value.result
-    assert not partial.exhausted
-    assert partial.nodes_explored >= 10
-    assert partial.optimum <= 5
-    assert triples_form_cactus(partial.witness)
+    assert partial.nodes_explored == 10
+    assert partial.optimum == 5 and partial.exhausted
 
 
 def brute_force_beta(cands):
@@ -126,56 +158,106 @@ def brute_force_beta(cands):
     return 0
 
 
+def edge_deleted(n, seed, dropped):
+    host = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    g, _ = plane_subgraph(host, range(host.n), dropped(sorted(host.edge_set)))
+    return g
+
+
+def clique_graph(pairs, n):
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    cands = [
+        t for t in combinations(range(n), 3)
+        if all(e in edges for e in combinations(t, 2))
+    ]
+    return sorted(edges), cands
+
+
+def assert_matches_reference(res, expected):
+    assert res.optimum == expected
+    assert expected <= res.ceiling
+    assert res.exhausted == (expected == res.ceiling)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 9), st.integers(0, 500), st.data())
 def test_faces_optimum_matches_brute_force(n, seed, data):
-    host = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
-    dropped = data.draw(st.lists(st.sampled_from(sorted(host.edge_set)), unique=True))
-    g, _ = plane_subgraph(host, range(host.n), dropped)
-    cands = [t.vertices for t in g.triangles]
+    g = edge_deleted(n, seed, lambda edges: data.draw(
+        st.lists(st.sampled_from(edges), unique=True)))
+    cands = faces_of(g)
     assume(len(cands) <= 14)
     res = exact_beta_faces(g)
-    assert res.exhausted
-    assert res.optimum == brute_force_beta(cands)
-    check_witness(g, res)
+    expected = brute_force_beta(cands)
+    assert reference_beta(cands) == expected
+    assert_matches_reference(res, expected)
+    checked_witness(cands, res)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=16))
 def test_cliques_optimum_matches_brute_force(pairs):
-    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
-    cands = [
-        t for t in combinations(range(7), 3)
-        if all(e in edges for e in combinations(t, 2))
-    ]
+    edges, cands = clique_graph(pairs, 7)
     assume(len(cands) <= 14)
-    res = exact_beta_all_triangles(sorted(edges))
-    assert res.exhausted
-    assert res.optimum == brute_force_beta(cands)
-    assert len(res.witness) == res.optimum
-    assert set(res.witness) <= set(cands)
-    assert triples_form_cactus(res.witness)
+    res = exact_beta_all_triangles(edges)
+    expected = brute_force_beta(cands)
+    assert reference_beta(cands) == expected
+    assert_matches_reference(res, expected)
+    checked_witness(cands, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 16), st.integers(0, 10_000), st.floats(0.05, 0.5))
+def test_faces_parity_matches_branch_and_bound(n, seed, p):
+    rng = random.Random(seed)
+    g = edge_deleted(n, seed, lambda edges: [e for e in edges if rng.random() < p])
+    res = exact_beta_faces(g)
+    assert_matches_reference(res, reference_beta(faces_of(g)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
+def test_cliques_parity_matches_branch_and_bound(pairs):
+    edges, cands = clique_graph(pairs, 10)
+    assume(len(cands) <= 40)
+    assert_matches_reference(exact_beta_all_triangles(edges), reference_beta(cands))
+
+
+def test_edge_deleted_rows_below_the_ceiling_match_branch_and_bound():
+    # The properties above draw few rows below the ceiling; this sweep
+    # pins a fixed set of them.
+    below = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        g = edge_deleted(6 + seed % 16, seed,
+                         lambda edges: [e for e in edges if rng.random() < 0.3])
+        res = exact_beta_faces(g)
+        expected = reference_beta(faces_of(g))
+        assert_matches_reference(res, expected)
+        below += expected < res.ceiling
+    assert below >= 15  # 19 of the 100 rows
 
 
 @pytest.fixture(scope="module")
 def rmp520():
-    # 1036 candidates: far more than any recursion limit allows as depth
+    # 1036 candidates, far past the witness guard
     return build_instance(GeneratorSpec("random_maximal_planar", n=520, seed=1))
 
 
 def test_large_search_runs_out_of_budget_not_stack(rmp520):
+    # The value is one rank evaluation at any size; the witness then
+    # needs more than a budget of one.
     assert rmp520.f3_all == 1036
     with pytest.raises(BudgetExceededError) as exc:
-        exact_beta_faces(rmp520, budget=2000, allow_large=True)
+        max_cactus(face_candidates(rmp520), budget=1, allow_large=True)
     partial = exc.value.result
-    assert partial.nodes_explored == 2001
-    assert triples_form_cactus(partial.witness)
+    assert (partial.optimum, partial.ceiling, partial.exhausted) == (259, 259, True)
+    assert partial.nodes_explored == 1
 
 
 def test_large_search_cli_exits_4(rmp520, tmp_path, capsys):
     inst = tmp_path / "rmp520.json"
     dump_instance(rmp520, inst)
-    code = main(["oracle", "--in", str(inst), "--allow-large", "--budget", "2000"])
+    code = main(["oracle", "--in", str(inst), "--allow-large", "--budget", "1"])
     assert code == 4
     err = capsys.readouterr().err
     assert "oracle refused" in err

@@ -1,6 +1,7 @@
 """End-to-end pipelines, the corpus harness, and the command line."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -202,6 +203,17 @@ class TestWorkerCount:
         monkeypatch.delenv("CACTUS_FORGE_THREADS")
         assert worker_count() == 1
 
+    def test_negative_counts_are_errors(self, monkeypatch):
+        # A negative count is a typo, not a request for one worker.
+        monkeypatch.delenv("CACTUS_FORGE_THREADS", raising=False)
+        with pytest.raises(CactusForgeError, match="--threads"):
+            worker_count(-3)
+        monkeypatch.setenv("CACTUS_FORGE_THREADS", "-2")
+        with pytest.raises(CactusForgeError, match="CACTUS_FORGE_THREADS"):
+            worker_count()
+        monkeypatch.setenv("CACTUS_FORGE_THREADS", "0")
+        assert worker_count() == 1
+
     def test_malformed_env_is_an_error(self, monkeypatch):
         # a typo'd env var should fail loudly, not silently serialize
         monkeypatch.setenv("CACTUS_FORGE_THREADS", "definitely-not-a-number")
@@ -337,24 +349,33 @@ class TestCorpusHarness:
         assert "planted" in res.reports[2]["traceback"]
 
     def test_sidecar_says_why_beta_is_missing(self, monkeypatch):
+        # Beta is missing only where the row failed first; elsewhere the
+        # sidecar says how sure it is.
         corpus = [
             GeneratorSpec("random_maximal_planar", n=10, seed=0),
             GeneratorSpec("random_maximal_planar", n=30, seed=7),
             GeneratorSpec("wheel", n=2),
         ]
         res = verify_corpus(corpus)
-        exact, guard, error = res.reports
-        assert exact["oracle_status"] == "exact" and exact["oracle_nodes"] > 0
-        assert res.rows[0].beta_faces is not None
-        assert guard["oracle_status"] == "guard" and guard["oracle_nodes"] == 0
-        assert error["oracle_status"] == "error" and error["oracle_nodes"] == 0
-        assert res.rows[1].beta_faces is None and res.rows[2].beta_faces is None
+        small, large, error = res.reports
+        # n30 s7 has more than CANDIDATE_GUARD = 40 candidates.
+        assert small["oracle_status"] == large["oracle_status"] == "parity-ceiling"
+        assert (small["ceiling"], large["ceiling"]) == (4, 14)
+        assert [r.beta_faces for r in res.rows[:2]] == [4, 14]
+        assert error["oracle_status"] == "error" and error["ceiling"] is None
+        assert res.rows[2].beta_faces is None
+        assert "oracle_nodes" not in small
 
-        monkeypatch.setattr(
-            pipeline, "exact_beta_faces", lambda g: oracle.exact_beta_faces(g, budget=5)
-        )
-        (budget,) = verify_corpus(corpus[:1]).reports
-        assert budget["oracle_status"] == "budget" and budget["oracle_nodes"] == 6
+        # Below the ceiling beta is still reported, marked uncertain.
+        def below(g):
+            r = oracle.exact_beta_faces(g)
+            return dataclasses.replace(r, ceiling=r.ceiling + 1, exhausted=False)
+
+        monkeypatch.setattr(pipeline, "exact_beta_faces", below)
+        res = verify_corpus(corpus[:1])
+        (side,) = res.reports
+        assert side["oracle_status"] == "parity" and side["ceiling"] == 5
+        assert res.rows[0].beta_faces == 4 and res.rows[0].ok
 
     def test_report_to_dict_shape(self, heavy_pair):
         from cactus_forge import analyze_cactus
@@ -398,10 +419,13 @@ class TestCli:
     def test_oracle_command(self, tmp_path, capsys):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
         capsys.readouterr()
-        assert main(["oracle", "--in", str(inst)]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["optimum"] == 2
-        assert data["exhausted"] is True
+        for extra in ([], ["--all-triangles"]):
+            assert main(["oracle", "--in", str(inst), *extra]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["optimum"] == 2
+            assert data["exhausted"] is True
+            assert len(data["witness"]) == 2
+            assert 1 <= data["nodes_explored"] <= 1 + 8
 
     def test_oracle_guard_exit_code(self, tmp_path, capsys):
         inst = self._generate(
@@ -411,6 +435,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "oracle refused" in err
         assert "--allow-large" in err
+
+    def test_oracle_witness_that_fails_its_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        monkeypatch.setattr(oracle, "triples_form_cactus", lambda triples: False)
+        assert main(["oracle", "--in", str(inst)]) == 3
+        assert "identity violation" in capsys.readouterr().err
 
     def test_oracle_budget_exit_code(self, tmp_path, capsys):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "icosahedron")
@@ -497,6 +527,16 @@ class TestCli:
             capsys.readouterr()
             assert main(["bench", *argv, "--csv", str(csv_path)]) == 4
             assert argv[-2] in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_bench_rejects_negative_thread_counts(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "rows.csv"
+        argv = ["bench", "--limit", "1", "--csv", str(csv_path)]
+        assert main([*argv, "--threads", "-3"]) == 4
+        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setenv("CACTUS_FORGE_THREADS", "-2")
+        assert main(argv) == 4
+        assert "CACTUS_FORGE_THREADS" in capsys.readouterr().err
         assert not csv_path.exists()
 
     def test_io_failures_exit_4(self, tmp_path, capsys):

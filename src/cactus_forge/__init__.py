@@ -57,7 +57,6 @@ from .plane_graph import (
     PlaneGraph,
     load_instance,
     missing_edges_to_triangulation,
-    plane_subgraph,
     relabeled,
 )
 
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PlaneGraph",
-    "plane_subgraph",
     "load_instance",
     "missing_edges_to_triangulation",
     "relabeled",

@@ -126,11 +126,11 @@ class Skeleton:
 
     Face i is a region of host faces merged across the deleted edges:
     host_faces[i] holds them and face_darts[i] its boundary host darts,
-    ascending.  Faces are numbered by smallest host dart, as plane_subgraph
-    numbers them.  cactus_face_of gives, per cactus triangle, the skeleton
-    face that is exactly the triangle's own host face; every other
-    skeleton face is a super-face.  outer_super_face is None in the
-    degenerate case where a cactus triangle itself bounds the outer face.
+    ascending.  Faces are numbered by their smallest host dart.
+    cactus_face_of gives, per cactus triangle, the skeleton face that is
+    exactly the triangle's own host face; every other skeleton face is a
+    super-face.  outer_super_face is None in the degenerate case where a
+    cactus triangle itself bounds the outer face.
     """
 
     face_darts: tuple[tuple[int, ...], ...]

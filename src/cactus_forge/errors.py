@@ -41,10 +41,6 @@ class BadOuterDesignatorError(InstanceFormatError):
         super().__init__(f"bad outer-face designator: {detail}")
 
 
-class EmptyVertexSetError(CactusForgeError, ValueError):
-    """An induced subgraph was requested for the empty vertex set."""
-
-
 class TooFewVerticesError(CactusForgeError, ValueError):
     """Operation requires at least 3 vertices."""
 
@@ -56,9 +52,14 @@ class DisconnectedError(CactusForgeError, ValueError):
 class UnknownTriangleError(CactusForgeError, KeyError):
     """A triangle was referenced that is not a candidate triangle of the host graph."""
 
+    # KeyError's str() is the repr of its message; print the message plain.
+    __str__ = BaseException.__str__
+
 
 class TriangleNotInCactusError(CactusForgeError, KeyError):
     """A triangle was referenced that is not part of the cactus."""
+
+    __str__ = BaseException.__str__
 
 
 class InvalidCactusError(CactusForgeError, ValueError):

@@ -3,8 +3,8 @@
 Two pipelines ride on the local search.  The planar-subgraph pipeline
 (mps) outputs the cactus edges plus a spanning forest between cactus
 components, which for a connected input is exactly n - 1 + delta edges.
-The triangle pipeline (mpt) outputs the cactus itself and re-embeds it to
-recount its triangular faces, confirming the count equals delta.
+The triangle pipeline (mpt) outputs the cactus itself and recounts its
+triangular faces off the input drawing, confirming the count equals delta.
 
 verify_corpus sweeps a corpus of generator specs, solving each instance
 at three strengths (greedy, 1-swap, 2-swap), analyzing the 2-swap result,
@@ -21,6 +21,7 @@ import json
 import os
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ from .errors import CactusForgeError, IdentityViolationError
 from .generators import GeneratorSpec, build
 from .local_search import SearchConfig, greedy_initial, local_search
 from .oracle import exact_beta_faces
-from .plane_graph import PlaneGraph, plane_subgraph
+from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
 
 __all__ = [
@@ -134,38 +135,46 @@ def mps_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MpsResult
 
 
 def mpt_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MptResult:
-    """Solve, then re-embed the cactus alone and recount its triangles.
+    """Solve, then recount the cactus's triangular faces off the input drawing.
 
+    The faces of the cactus alone are regions of host faces: deleting an
+    edge merges the two faces on its sides, which one union-find tracks.
     Every cactus triangle bounds an empty face of the input, and deleting
-    the other edges cannot disturb it, so each must survive as an intact
-    face of the re-embedding (checked through the face provenance).  The
-    re-embedding has no other triangular faces either, except that a lone
-    triangle shows a second 3-walk on its far side; so f3_all of the
-    re-embedding is delta, plus one exactly when delta == 1.  Mismatches
-    are raised as implementation bugs.
+    the other edges cannot disturb it, so each must stay a region of its
+    own.  No other region is bounded by exactly three kept darts, except
+    that a lone triangle shows a second 3-walk on its far side; so the
+    count is delta, plus one exactly when delta == 1.  Mismatches are
+    raised as implementation bugs.
     """
     c, _ = local_search(g, cfg)
-    kept: set[tuple[int, int]] = set()
+    twin, face_of = g.twin, g.face_of_dart
+    kept: set[int] = set()
     for tid in c.triangle_ids:
-        kept.update(g.triangles[tid].edges)
-    dropped = [e for e in g.edge_set if e not in kept]
-    sub, prov = plane_subgraph(g, range(g.n), dropped)
+        for u, v in g.triangles[tid].edges:
+            d = g.dart_id(u, v)
+            kept.update((d, twin[d]))
+    regions = DisjointSet(len(g.faces))
+    for d in range(g.dart_count):
+        if d not in kept:
+            regions.union(face_of[d], face_of[twin[d]])
     delta = len(c)
-    surviving = 0
-    for tid in c.triangle_ids:
-        hf = g.triangles[tid].face_id
-        sf = prov.sub_of_host_face[hf]
-        if prov.merged_host_faces[sf] == frozenset({hf}) and sub.faces[sf].is_triangle:
-            surviving += 1
-    if surviving != delta:
+    merged = [
+        tid
+        for tid in c.triangle_ids
+        if regions.size[regions.find(g.triangles[tid].face_id)] != 1
+    ]
+    if merged:
         raise IdentityViolationError(
-            f"only {surviving} of {delta} cactus triangles survive as faces "
-            f"of the re-embedded subgraph"
+            f"faces of cactus triangles {merged} merged with other regions "
+            f"once the other edges are dropped"
         )
-    if sub.f3_all != delta + (1 if delta == 1 else 0):
+    sides = Counter(regions.find(face_of[d]) for d in kept)
+    three = sum(1 for count in sides.values() if count == 3)
+    expected = delta + (1 if delta == 1 else 0)
+    if three != expected:
         raise IdentityViolationError(
-            f"re-embedded cactus has {sub.f3_all} triangular faces, "
-            f"expected {delta + (1 if delta == 1 else 0)}"
+            f"the cactus alone has {three} regions bounded by three darts, "
+            f"expected {expected}"
         )
     f3 = g.f3_internal
     ratio = Fraction(delta, f3) if f3 else None

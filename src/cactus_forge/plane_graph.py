@@ -12,22 +12,21 @@ A disconnected rotation system is read as components drawn side by side:
 one face walk from every component joins the shared unbounded region, so
 the face count obeys n - |E| + |F| = 1 + c.  Which walk joins the outer
 region is a convention (the walk holding the component's smallest dart),
-chosen so instances round-trip deterministically.  Induced subgraphs
-override that convention with the true region merges inherited from the
-host drawing, which is what face provenance records.
+chosen so instances round-trip deterministically.  Code that needs the
+regions a subgraph inherits from its host drawing reads them off the
+host: deleting an edge merges the two host faces on its sides.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     AsymmetricAdjacencyError,
     BadOuterDesignatorError,
     DisconnectedError,
-    EmptyVertexSetError,
     IdentityViolationError,
     InstanceFormatError,
     LoopEdgeError,
@@ -35,14 +34,11 @@ from .errors import (
     ParallelEdgeError,
     TooFewVerticesError,
 )
-from .unionfind import DisjointSet
 
 __all__ = [
     "Face",
     "Triangle",
-    "FaceProvenance",
     "PlaneGraph",
-    "plane_subgraph",
     "missing_edges_to_triangulation",
     "relabeled",
     "parse_instance",
@@ -86,24 +82,6 @@ class Triangle:
     edges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
     face_ids: tuple[int, ...]
     face_id: int
-
-
-@dataclass(frozen=True)
-class FaceProvenance:
-    """How faces of a host graph merge into faces of an induced subgraph.
-
-    merged_host_faces[i] is the set of host face ids absorbed into
-    subgraph face i; the sets partition the host's faces.
-    sub_of_host_face is the inverse, indexed by host face id.  Vertices of
-    the subgraph are relabeled 0..|S|-1 in sorted host order; the two
-    vertex maps translate between the labelings.
-    """
-
-    merged_host_faces: tuple[frozenset[int], ...]
-    sub_of_host_face: tuple[int, ...]
-    outer_face_id: int
-    to_host_vertex: tuple[int, ...]
-    to_sub_vertex: Mapping[int, int]
 
 
 class _Core:
@@ -227,7 +205,7 @@ def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
     return core
 
 
-def _default_walk_groups(core: _Core, outer_walk: int) -> list[list[int]]:
+def _side_by_side_groups(core: _Core, outer_walk: int) -> list[list[int]]:
     """Side-by-side grouping: the outer walk plus the first-discovered walk
     of every other component form the outer region; all remaining walks
     stand alone."""
@@ -251,10 +229,6 @@ class PlaneGraph:
     naming a dart on the outer face (``None`` only for edgeless graphs).
     All derived tables (faces, edge list, triangle candidates) are built
     eagerly and never change, so instances are safe to share.
-
-    The private keywords serve ``plane_subgraph``: ``_walk_groups`` sets
-    how face walks group into faces, and ``_core`` hands over the core it
-    already built and validated from the same rotations.
     """
 
     __slots__ = (
@@ -283,11 +257,8 @@ class PlaneGraph:
         n: int,
         rotations: Sequence[Sequence[int]],
         outer: tuple[int, int] | None = None,
-        *,
-        _walk_groups: list[list[int]] | None = None,
-        _core: _Core | None = None,
     ):
-        core = _build_core(n, rotations) if _core is None else _core
+        core = _build_core(n, rotations)
         self.n = n
         self.rotations = core.rotations
         self.tail = tuple(core.tail)
@@ -336,15 +307,7 @@ class PlaneGraph:
             self.outer_dart = od
 
             outer_walk = core.walk_of_dart[od]
-            if _walk_groups is None:
-                groups = _default_walk_groups(core, outer_walk)
-            else:
-                groups = [sorted(g) for g in _walk_groups]
-                covered = sorted(w for g in groups for w in g)
-                if covered != list(range(len(core.walks))):
-                    raise IdentityViolationError(
-                        "supplied walk groups do not partition the face walks"
-                    )
+            groups = _side_by_side_groups(core, outer_walk)
             groups.sort(key=lambda g: g[0])
 
             faces = []
@@ -376,8 +339,6 @@ class PlaneGraph:
                         vertices=tuple(verts),
                     )
                 )
-            if outer_face_id < 0:
-                raise IdentityViolationError("outer walk missing from face grouping")
             self.faces = tuple(faces)
             self.face_of_dart = tuple(face_of_dart)
             self.outer_face_id = outer_face_id
@@ -494,132 +455,6 @@ def missing_edges_to_triangulation(g: PlaneGraph) -> int:
             f"simple plane graph with {g.edge_count} > 3n-6 edges"
         )
     return t
-
-
-def plane_subgraph(
-    g: PlaneGraph,
-    vertices: Iterable[int],
-    dropped_edges: Iterable[tuple[int, int]] = (),
-) -> tuple[PlaneGraph, FaceProvenance]:
-    """Subgraph on the given vertices minus dropped edges, keeping the
-    inherited drawing.
-
-    The subgraph reuses g's rotations filtered to the kept darts (vertices
-    relabeled to 0..|S|-1 in sorted order).  Faces of the subgraph are the
-    regions that remain after the deletions; deleting an edge merges the
-    two regions it separated, so the provenance classes come from a
-    union-find over g's faces.  This can disagree with the side-by-side
-    default (subgraph components may be nested in the host drawing), so
-    the region grouping is passed down explicitly.
-    """
-    sset = frozenset(vertices)
-    if not sset:
-        raise EmptyVertexSetError("cannot take a subgraph on the empty vertex set")
-    for v in sset:
-        if not 0 <= v < g.n:
-            raise InstanceFormatError(f"vertex {v} is not a vertex of the host graph")
-    dropped = set()
-    for u, v in dropped_edges:
-        e = (u, v) if u < v else (v, u)
-        if not g.has_edge(u, v):
-            raise InstanceFormatError(f"dropped edge {e} is not an edge of the host")
-        if u not in sset or v not in sset:
-            raise InstanceFormatError(
-                f"dropped edge {e} must join kept vertices (it is gone already)"
-            )
-        dropped.add(e)
-
-    def kept(d: int) -> bool:
-        u, v = g.tail[d], g.head[d]
-        if u not in sset or v not in sset:
-            return False
-        return ((u, v) if u < v else (v, u)) not in dropped
-
-    to_host = tuple(sorted(sset))
-    to_sub = {h: i for i, h in enumerate(to_host)}
-    rotations = tuple(
-        tuple(
-            to_sub[v]
-            for v in g.rotations[h]
-            if kept(g.dart_id(h, v))
-        )
-        for h in to_host
-    )
-
-    regions = DisjointSet(len(g.faces))
-    for d in range(g.dart_count):
-        if d < g.twin[d] and not kept(d):
-            regions.union(g.face_of_dart[d], g.face_of_dart[g.twin[d]])
-    region = regions.labels()
-
-    core = _build_core(len(to_host), rotations)
-
-    if not core.tail:
-        if len(set(region)) != 1:
-            raise IdentityViolationError(
-                "edgeless subgraph left more than one host region"
-            )
-        sub = PlaneGraph(len(to_host), rotations, None, _core=core)
-        prov = FaceProvenance(
-            merged_host_faces=(frozenset(range(len(g.faces))),),
-            sub_of_host_face=tuple(0 for _ in g.faces),
-            outer_face_id=0,
-            to_host_vertex=to_host,
-            to_sub_vertex=to_sub,
-        )
-        return sub, prov
-
-    group_of_root: dict[int, list[int]] = {}
-    for w, walk in enumerate(core.walks):
-        d = walk[0]
-        hd = g.dart_id(to_host[core.tail[d]], to_host[core.head[d]])
-        group_of_root.setdefault(region[g.face_of_dart[hd]], []).append(w)
-
-    outer_root = region[g.outer_face_id]
-    if outer_root not in group_of_root:
-        # A drawing with at least one edge always has edges on its outer
-        # boundary, so the outer region must have picked up a walk.
-        raise IdentityViolationError("outer region of the subgraph has no boundary walk")
-
-    first_outer_dart = core.walks[group_of_root[outer_root][0]][0]
-    outer_pair = (core.tail[first_outer_dart], core.head[first_outer_dart])
-    sub = PlaneGraph(
-        len(to_host),
-        rotations,
-        outer_pair,
-        _walk_groups=list(group_of_root.values()),
-        _core=core,
-    )
-
-    root_of_sub_face: dict[int, int] = {}
-    for f in sub.faces:
-        d = f.boundary[0]
-        hd = g.dart_id(to_host[sub.tail[d]], to_host[sub.head[d]])
-        root_of_sub_face[f.id] = region[g.face_of_dart[hd]]
-    sub_of_root = {root: fid for fid, root in root_of_sub_face.items()}
-
-    merged: list[set[int]] = [set() for _ in sub.faces]
-    sub_of_host = []
-    for hf, root in enumerate(region):
-        fid = sub_of_root.get(root)
-        if fid is None:
-            raise IdentityViolationError(
-                f"host face {hf} merged into a region with no subgraph walk"
-            )
-        merged[fid].add(hf)
-        sub_of_host.append(fid)
-
-    if g.outer_face_id not in merged[sub.outer_face_id]:
-        raise IdentityViolationError("outer face provenance lost its host outer face")
-
-    prov = FaceProvenance(
-        merged_host_faces=tuple(frozenset(m) for m in merged),
-        sub_of_host_face=tuple(sub_of_host),
-        outer_face_id=sub.outer_face_id,
-        to_host_vertex=to_host,
-        to_sub_vertex=to_sub,
-    )
-    return sub, prov
 
 
 def relabeled(g: PlaneGraph, perm: Sequence[int]) -> PlaneGraph:

@@ -20,10 +20,11 @@ from cactus_forge import (
     build_instance,
     component_report,
     local_search,
-    plane_subgraph,
 )
+from cactus_forge.analyzer import _gain_floor_half
 from cactus_forge.errors import NotAComponentError
 from cactus_forge.pipeline import report_to_dict
+from reference_subgraph import reembed
 
 
 def the_component(case):
@@ -259,18 +260,42 @@ class TestWholeCactus:
         assert strict.detail == "28 <= 42 - 3"
 
 
+# Floor on 2*gain for an inner super-face, by (occupied sides, free sides
+# of single-crossed chords): the floor with no relaxation, then the floor
+# once a crossless base side or a friendly corner relaxes it.  An inner
+# face with no occupied side has no floor.
+GAIN_FLOORS_HALF = {
+    (0, 0): (None, None), (0, 1): (None, None), (0, 2): (None, None),
+    (1, 0): (9, 5), (1, 1): (8, 4), (1, 2): (8, 4), (1, 3): (8, 4),
+    (2, 0): (6, 4), (2, 1): (5, 5), (2, 2): (4, 4), (2, 3): (4, 4),
+    (3, 0): (3, 3), (3, 1): (3, 3), (3, 2): (3, 3), (4, 2): (3, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "base_plain, friendly, relaxed",
+    [(0, False, False), (1, False, True), (2, False, True), (0, True, True),
+     (1, True, True)],
+)
+def test_gain_floor_table(base_plain, friendly, relaxed):
+    # The heavy fixtures never reach the friendly branch; this pins it.
+    for (occupied, single_free), floors in GAIN_FLOORS_HALF.items():
+        label = (occupied, single_free, base_plain)
+        assert _gain_floor_half(label, friendly) == floors[relaxed], label
+
+
+def _component_edges(g, comp):
+    inside = set(comp)
+    return {(u, v) for u, v in g.edge_set if u in inside and v in inside}
+
+
 def _outer_counts_from_the_subgraph(g, comp, report):
-    """Outer face of the full component subgraph, walked dart by dart."""
-    sub, prov = plane_subgraph(g, comp)
+    """Outer face of the full component subgraph, from its re-embedding."""
+    _, regions, region_of = reembed(g, _component_edges(g, comp))
     occupied = {cr.side_dart for ec in report.edges.values() for cr in ec.crosses}
-    host = prov.to_host_vertex
-    occ = sum(
-        g.dart_id(host[sub.tail[d]], host[sub.head[d]]) in occupied
-        for walk in sub.outer_face.walks
-        for d in walk
-    )
-    length = sub.outer_face.length
-    return length, occ, length - occ
+    darts = regions[region_of[g.outer_face_id]].darts
+    occ = sum(d in occupied for d in darts)
+    return len(darts), occ, len(darts) - occ
 
 
 def _outer_count_cases():
@@ -320,24 +345,17 @@ def test_skeleton_matches_the_component_subgraph(heavy_cases):
                 continue
             r = component_report(g, c, comp, verified=True)
             sk = r.skeleton
-            type0 = [e for e, ec in r.edges.items() if ec.kind == "type-0"]
-            sub, prov = plane_subgraph(g, comp, type0)
-            host = prov.to_host_vertex
-            assert len(sk.face_darts) == len(sub.faces), (name, comp)
-            for f in sub.faces:
-                darts = sorted(
-                    g.dart_id(host[sub.tail[d]], host[sub.head[d]])
-                    for d in f.boundary
-                )
-                assert sk.face_darts[f.id] == tuple(darts), (name, comp, f.id)
-                assert sk.host_faces[f.id] == prov.merged_host_faces[f.id]
-            own = {
-                t: prov.sub_of_host_face[g.triangles[t].face_id] for t in r.triangles
-            }
+            type0 = {e for e, ec in r.edges.items() if ec.kind == "type-0"}
+            _, regions, region_of = reembed(g, _component_edges(g, comp) - type0)
+            assert len(sk.face_darts) == len(regions), (name, comp)
+            for i, region in enumerate(regions):
+                assert sk.face_darts[i] == region.darts, (name, comp, i)
+                assert sk.host_faces[i] == region.host_faces
+            own = {t: region_of[g.triangles[t].face_id] for t in r.triangles}
             assert sk.cactus_face_of == own, (name, comp)
-            supers = tuple(f.id for f in sub.faces if f.id not in own.values())
+            supers = tuple(i for i in range(len(regions)) if i not in own.values())
             assert sk.super_face_ids == supers, (name, comp)
-            outer = prov.sub_of_host_face[g.outer_face_id]
+            outer = region_of[g.outer_face_id]
             expected_outer = outer if outer in supers else None
             assert sk.outer_super_face == expected_outer, (name, comp)
             checked += 1

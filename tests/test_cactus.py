@@ -94,8 +94,10 @@ def test_remove_triangle(heavy_path):
     c.remove_triangle(middle)
     assert c.delta == 2
     assert not c.same_component(0, 3)
-    with pytest.raises(TriangleNotInCactusError):
+    with pytest.raises(TriangleNotInCactusError) as exc:
         c.remove_triangle(middle)
+    # a KeyError, but its message prints without quotes
+    assert str(exc.value) == "triangle (1, 2, 5) is not in the cactus"
 
 
 def test_split_at_parts(heavy_path):

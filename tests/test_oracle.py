@@ -21,8 +21,9 @@ from cactus_forge import (
 from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.cli import main
 from cactus_forge.oracle import CANDIDATE_GUARD, clique_candidates, face_candidates
-from cactus_forge.plane_graph import dump_instance, plane_subgraph
+from cactus_forge.plane_graph import dump_instance
 from reference_oracle import reference_beta
+from reference_subgraph import reembed
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ def brute_force_beta(cands):
 
 def edge_deleted(n, seed, dropped):
     host = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
-    g, _ = plane_subgraph(host, range(host.n), dropped(sorted(host.edge_set)))
+    g, _, _ = reembed(host, host.edge_set - set(dropped(sorted(host.edge_set))))
     return g
 
 

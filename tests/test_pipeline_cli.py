@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,13 @@ import pytest
 from cactus_forge import (
     CactusForgeError,
     GeneratorSpec,
+    IdentityViolationError,
+    PlaneGraph,
     SearchConfig,
     acceptance_corpus,
     build_instance,
     mps_pipeline,
     mpt_pipeline,
-    plane_subgraph,
     verify_corpus,
 )
 from cactus_forge import oracle, pipeline
@@ -32,6 +34,7 @@ from cactus_forge.pipeline import (
     write_csv,
     write_sidecar,
 )
+from reference_subgraph import reembed
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +42,11 @@ def octa():
     return build_instance(GeneratorSpec("platonic", name="octahedron"))
 
 
-# Which forest edges mps keeps, and how mpt's re-embedding merges the
-# host's faces (sub_of_host_face; merged_host_faces is its inverse), on the
-# octahedron, the disconnected bowtie and random triangulations at seed 1.
-# The counts and ratios tested below would not notice a different forest.
+# Which forest edges mps keeps, and into which regions the host's faces
+# merge once mpt's cactus alone is kept (the region of each host face, as
+# the tests' re-embedding reference numbers them), on the octahedron, the
+# disconnected bowtie and random triangulations at seed 1.  The counts and
+# ratios tested below would not notice a different forest.
 PINNED_MPS_EDGES = {
     "octahedron": (
         (0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 5),
@@ -171,21 +175,35 @@ class TestMpt:
         r = mpt_pipeline(g, SearchConfig(t=1))
         assert r.meets_one_sixth is None
 
+    def test_empty_instance(self):
+        r = mpt_pipeline(PlaneGraph(0, [], None))
+        assert (r.cactus_triples, r.output_triangles, r.f3_internal_input) == ((), 0, 0)
+        assert r.ratio is None and r.meets_one_sixth is None
+
+    def test_region_count_check_fires(self, k4, monkeypatch):
+        # K4's three inner faces share edges pairwise, so they are no
+        # cactus: kept together they leave four three-dart regions, not 3.
+        class FakeCactus:
+            triangle_ids = [t.id for t in k4.triangles if t.face_id != k4.outer_face_id]
+
+            def __len__(self):
+                return len(self.triangle_ids)
+
+        monkeypatch.setattr(
+            pipeline, "local_search", lambda g, cfg: (FakeCactus(), None)
+        )
+        with pytest.raises(IdentityViolationError, match="has 4 regions .* expected 3"):
+            mpt_pipeline(k4)
+
     @pytest.mark.parametrize("key", list(PINNED_MPT_SUB_OF_HOST_FACE))
-    def test_pinned_reembedding_provenance(self, key, bowtie, monkeypatch):
-        seen = []
-
-        def spy(*args):
-            sub, prov = plane_subgraph(*args)
-            seen.append(prov)
-            return sub, prov
-
-        monkeypatch.setattr(pipeline, "plane_subgraph", spy)
-        mpt_pipeline(_pinned_graph(key, bowtie))
-        (prov,) = seen
+    def test_pinned_reembedding_provenance(self, key, bowtie):
+        g = _pinned_graph(key, bowtie)
+        r = mpt_pipeline(g)
+        kept = {e for t in r.cactus_triples for e in combinations(t, 2)}
+        _, regions, region_of = reembed(g, kept)
         expected = PINNED_MPT_SUB_OF_HOST_FACE[key]
-        assert prov.sub_of_host_face == expected
-        assert prov.merged_host_faces == tuple(
+        assert region_of == expected
+        assert tuple(region.host_faces for region in regions) == tuple(
             frozenset(hf for hf, sf in enumerate(expected) if sf == i)
             for i in range(max(expected) + 1)
         )
@@ -498,6 +516,23 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["output_triangles"] == 2
         assert data["ratio"] == "2/7"
+
+    def test_mpt_on_the_empty_instance(self, tmp_path, capsys):
+        inst = tmp_path / "empty.json"
+        inst.write_text('{"n": 0, "rotations": [], "outer": null}')
+        assert main(["mpt", "--in", str(inst)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["output_triangles"] == 0 and data["cactus"] == []
+
+    def test_unknown_triangle_message_is_unquoted(self, tmp_path, capsys):
+        inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        cac = tmp_path / "cactus.json"
+        cac.write_text("[[0, 1, 99]]")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(inst), "--cactus", str(cac)]) == 4
+        assert capsys.readouterr().err == (
+            "error: [0, 1, 99] is not a candidate triangle of the instance\n"
+        )
 
     def test_bench_smoke(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"

@@ -9,20 +9,19 @@ from cactus_forge import (
     PlaneGraph,
     load_instance,
     missing_edges_to_triangulation,
-    plane_subgraph,
     relabeled,
 )
 from cactus_forge.errors import (
     AsymmetricAdjacencyError,
     BadOuterDesignatorError,
     DisconnectedError,
-    EmptyVertexSetError,
     LoopEdgeError,
     NonPlanarEmbeddingError,
     ParallelEdgeError,
     TooFewVerticesError,
 )
 from cactus_forge.plane_graph import dump_instance, instance_to_dict
+from reference_subgraph import reembed
 
 
 def euler_count(g):
@@ -114,39 +113,27 @@ class TestValidation:
 
 
 class TestSubgraphs:
+    # Subgraphs are re-embedded by the tests' reference only; the package
+    # reads their faces off the host drawing.
     def test_induced_triangle_of_k4(self, k4):
-        sub, prov = plane_subgraph(k4, [0, 1, 2])
-        assert sub.n == 3
+        sub, regions, region_of = reembed(k4, {(0, 1), (0, 2), (1, 2)})
         assert sub.edge_set == {(0, 1), (0, 2), (1, 2)}
-        assert prov.to_host_vertex == (0, 1, 2)
+        assert sub.degree(3) == 0
         # dropping the hub merges its three incident faces into one
-        sizes = sorted(len(c) for c in prov.merged_host_faces)
-        assert sizes == [1, 3]
-        # provenance classes partition the host faces
-        assert sorted(x for c in prov.merged_host_faces for x in c) == [0, 1, 2, 3]
-        assert prov.sub_of_host_face[k4.outer_face_id] == prov.outer_face_id
+        assert sorted(len(r.host_faces) for r in regions) == [1, 3]
+        # the regions partition the host faces
+        assert sorted(f for r in regions for f in r.host_faces) == [0, 1, 2, 3]
+        outer = regions[region_of[k4.outer_face_id]]
+        assert outer.host_faces == {k4.outer_face_id}
+        assert outer.darts == tuple(
+            sorted(k4.dart_id(sub.tail[d], sub.head[d]) for d in sub.outer_face.boundary)
+        )
 
     def test_drop_edge_merges_faces(self, k4):
-        sub, prov = plane_subgraph(k4, range(4), dropped_edges=[(0, 3)])
+        sub, regions, _ = reembed(k4, k4.edge_set - {(0, 3)})
         assert sub.edge_count == 5
-        assert len(sub.faces) == 3
-        assert max(len(c) for c in prov.merged_host_faces) == 2
-
-    def test_vertex_relabeling_map(self, k4):
-        sub, prov = plane_subgraph(k4, [1, 3])
-        assert sub.n == 2
-        assert prov.to_host_vertex == (1, 3)
-        assert prov.to_sub_vertex[3] == 1
-
-    def test_empty_vertex_set(self, k4):
-        with pytest.raises(EmptyVertexSetError):
-            plane_subgraph(k4, [])
-
-    def test_unknown_vertex_and_edge(self, k4):
-        with pytest.raises(InstanceFormatError):
-            plane_subgraph(k4, [0, 9])
-        with pytest.raises(InstanceFormatError):
-            plane_subgraph(k4, range(4), dropped_edges=[(0, 0)])
+        assert len(sub.faces) == len(regions) == 3
+        assert max(len(r.host_faces) for r in regions) == 2
 
 
 class TestTriangulationDeficit:

@@ -113,7 +113,7 @@ class IdentityViolationError(CactusForgeError, AssertionError):
 
 
 class TooSmallError(CactusForgeError, ValueError):
-    """A generator was asked for fewer vertices than its family supports."""
+    """A generator was given too few vertices, or a negative flip count."""
 
 
 class UnknownFamilyError(CactusForgeError, ValueError):

@@ -197,6 +197,8 @@ def random_maximal_planar(n: int, seed: int = 0, flips: int | None = None) -> Pl
     bounded faces, then `flips` random diagonal flips (default 2n)."""
     if n < 3:
         raise TooSmallError(f"a triangulation needs n >= 3, got {n}")
+    if flips is not None and flips < 0:
+        raise TooSmallError(f"flips must be at least 0, got {flips}")
     rng = random.Random(seed)
     tri = _Triangulation()
     for k in range(3, n):

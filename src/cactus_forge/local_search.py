@@ -20,13 +20,13 @@ distinct.  ``moves_examined`` counts the free triangles a
 per-position walk would visit, one per position of the free order at
 each level, whether or not the narrowed list still holds it.
 
-The searcher prunes the add-set enumeration: once the 0-swap stage has
-proven the cactus maximal, every add-triangle of a larger move must touch
-a component that removing X disturbed.  A triangle whose corners all
-avoid those components would sit in three distinct components of the
-untouched cactus and so would have been an improving 0-swap already.
-``verify_local_optimality`` deliberately skips that pruning and re-walks
-the full move space; tests compare the two.
+The search, its final no-move scan and ``verify_local_optimality`` all
+run this one scan.  It needs no pruning of the add-sets: the 0-swap
+stage runs first, and once it finds no move the cactus is maximal.  So
+every free triangle has two corners in one component of the cactus,
+and when no corner lies in a component that X splits, those two keep
+one label and level 0 already rejects the triangle.  Tests check the
+scan against an independent per-position walk.
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ def greedy_initial(g: PlaneGraph, seed: int = 0) -> TriangularCactus:
 class _MoveScan:
     """One enumeration pass over the (X, Y) move space of a fixed cactus.
 
-    moves() yields improving SwapMoves in lexicographic order.  With
-    pruned=False the add-sets range over every candidate (the verifier's
-    mode); addability filtering alone keeps that sound, since adding
-    triangles only ever merges components, so a rejected candidate stays
-    rejected no matter what is added later.
+    moves() yields improving SwapMoves in lexicographic order.  The
+    add-sets range over every free candidate; addability filtering alone
+    keeps that sound, since adding triangles only ever merges
+    components, so a rejected candidate stays rejected no matter what is
+    added later.
 
     That same fact lets each level of a stage filter only the tail of
     its parent's list: an entry holds a free triangle's position in the
@@ -118,8 +118,7 @@ class _MoveScan:
     listed entry, plus the rest of the order when a level runs out.
     """
 
-    def __init__(self, g: PlaneGraph, c: TriangularCactus, pruned: bool):
-        self.pruned = pruned
+    def __init__(self, g: PlaneGraph, c: TriangularCactus):
         self.kept = c.triangle_ids
         self.tour = c.tour()
         at = self.tour.pos
@@ -143,19 +142,8 @@ class _MoveScan:
                     yield from self._stage(pair)
 
     def _stage(self, removal: tuple[int, ...]) -> Iterator[SwapMove]:
-        tour = self.tour
-        label = tour.labels_without(removal)
+        label = self.tour.labels_without(removal)
         free = self.free
-        end = len(free)
-        if self.pruned and removal:
-            # The components of the whole cactus that hold the removal set.
-            base = tour.base
-            disturbed = {base[tour.slices[x][0][0]] for x in removal}
-            free = [
-                f for f in free
-                if base[f[2]] in disturbed or base[f[3]] in disturbed
-                or base[f[4]] in disturbed
-            ]
         # Level 0: the free triangles that are addable on their own.
         level = [
             (pos, y, la, lb, lw)
@@ -164,7 +152,7 @@ class _MoveScan:
             and (lw := label[w]) != la and lw != lb
         ]
 
-        for add in self._walk(level, 0, len(removal) + 1, (), end):
+        for add in self._walk(level, 0, len(removal) + 1, (), len(free)):
             yield SwapMove(remove=removal, add=add)
 
     # A method, not a closure inside _stage: a nested generator that calls
@@ -197,22 +185,16 @@ def find_improving_swap(
     g: PlaneGraph, c: TriangularCactus, t: int = 2
 ) -> SwapMove | None:
     """Lexicographically first improving move, or None at a local optimum."""
-    scan = _MoveScan(g, c, pruned=True)
-    return next(scan.moves(t), None)
+    return next(_MoveScan(g, c).moves(t), None)
 
 
 def verify_local_optimality(
     g: PlaneGraph, c: TriangularCactus, t: int = 2
 ) -> tuple[bool, SwapMove | None]:
-    """Unpruned re-enumeration of the move space.
-
-    Returns (True, None) when no improving move of size <= t exists,
-    otherwise (False, witness move).  Independent of the searcher's
-    pruning, so the two can check each other.
-    """
-    scan = _MoveScan(g, c, pruned=False)
-    move = next(scan.moves(t), None)
-    return (move is None), move
+    """(True, None) when no improving move of size <= t exists, otherwise
+    (False, the move ``find_improving_swap`` returns) as a witness."""
+    move = find_improving_swap(g, c, t)
+    return move is None, move
 
 
 def apply_move(c: TriangularCactus, move: SwapMove) -> None:
@@ -239,7 +221,7 @@ def local_search(
     applied: list[SwapMove] = []
     examined = 0
     while not c.at_ceiling:
-        scan = _MoveScan(g, c, pruned=True)
+        scan = _MoveScan(g, c)
         move = next(scan.moves(cfg.t), None)
         examined += scan.examined
         if move is None:

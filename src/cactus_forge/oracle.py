@@ -45,7 +45,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cactus import triples_form_cactus
-from .errors import BudgetExceededError, CandidateGuardError, IdentityViolationError
+from .errors import (
+    BudgetExceededError,
+    CactusForgeError,
+    CandidateGuardError,
+    IdentityViolationError,
+)
 from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
 
@@ -219,12 +224,14 @@ def max_cactus(
     rank of the rest stays 2β.  Once exactly β are left, all of them
     are needed.  More than CANDIDATE_GUARD candidates raise
     CandidateGuardError unless ``allow_large``.  ``budget`` caps the
-    rank evaluations; the value's own always runs and counts toward it.
-    Running past it raises BudgetExceededError with the value and the
-    evaluations so far.  A
-    result that is not a cactus of β triangles raises
-    IdentityViolationError.
+    rank evaluations and must be at least 1; the value's own always runs
+    and counts toward it.  Running past it raises BudgetExceededError
+    with the value and the evaluations so far.  A result that is not a
+    cactus of β triangles raises IdentityViolationError.
     """
+    # Below 1 the value's own evaluation would already overrun the cap.
+    if budget < 1:
+        raise CactusForgeError(f"--budget must be at least 1, got {budget}")
     if len(candidates) > CANDIDATE_GUARD and not allow_large:
         raise CandidateGuardError(len(candidates), CANDIDATE_GUARD)
     parity = _Parity(candidates)

@@ -84,33 +84,10 @@ class Triangle:
     face_id: int
 
 
-class _Core:
-    """Dart tables and face walks of a validated rotation system."""
-
-    __slots__ = (
-        "n",
-        "rotations",
-        "tail",
-        "head",
-        "twin",
-        "face_next",
-        "dart_of",
-        "walks",
-        "walk_of_dart",
-        "comp_of_vertex",
-        "comp_count",
-        "isolated_count",
-    )
-
-
-def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
-    if n < 0:
-        raise InstanceFormatError(f"vertex count must be nonnegative, got {n}")
-    if len(rotations) != n:
-        raise InstanceFormatError(
-            f"expected {n} rotation lists, got {len(rotations)}"
-        )
-
+def _darts(
+    n: int, rotations: tuple[tuple[int, ...], ...]
+) -> tuple[dict[tuple[int, int], int], list[int], list[int], list[int]]:
+    """Dart ids of a rotation system: (dart_of, tail, head, twin)."""
     dart_of: dict[tuple[int, int], int] = {}
     tail: list[int] = []
     head: list[int] = []
@@ -130,26 +107,33 @@ def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
             tail.append(u)
             head.append(v)
 
-    dart_count = len(tail)
-    twin = [0] * dart_count
-    for d in range(dart_count):
+    twin = [0] * len(tail)
+    for d in range(len(tail)):
         t = dart_of.get((head[d], tail[d]))
         if t is None:
             raise AsymmetricAdjacencyError(tail[d], head[d])
         twin[d] = t
+    return dart_of, tail, head, twin
 
-    prv = [0] * dart_count
+
+def _face_walks(
+    rotations: tuple[tuple[int, ...], ...],
+    dart_of: dict[tuple[int, int], int],
+    twin: list[int],
+) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """Face successors and the face walks: (face_next, walks, walk_of_dart)."""
+    prv = [0] * len(twin)
     for u, nbrs in enumerate(rotations):
         for i, v in enumerate(nbrs):
             prv[dart_of[(u, v)]] = dart_of[(u, nbrs[i - 1])]
 
     # Successor along the face: at the head of d, turn to the rotation
     # predecessor of the reverse dart.  Keeps the face on the left.
-    face_next = [prv[twin[d]] for d in range(dart_count)]
+    face_next = [prv[t] for t in twin]
 
-    walk_of_dart = [-1] * dart_count
+    walk_of_dart = [-1] * len(twin)
     walks: list[tuple[int, ...]] = []
-    for d0 in range(dart_count):
+    for d0 in range(len(twin)):
         if walk_of_dart[d0] >= 0:
             continue
         walk: list[int] = []
@@ -161,10 +145,14 @@ def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
         if d != d0:
             raise IdentityViolationError("face walk did not close at its start")
         walks.append(tuple(walk))
+    return face_next, walks, walk_of_dart
 
-    comp_of_vertex = [-1] * n
+
+def _components(rotations: tuple[tuple[int, ...], ...]) -> tuple[list[int], int]:
+    """Each vertex's component number, and the number of components."""
+    comp_of_vertex = [-1] * len(rotations)
     comp_count = 0
-    for start in range(n):
+    for start in range(len(rotations)):
         if comp_of_vertex[start] >= 0:
             continue
         comp_of_vertex[start] = comp_count
@@ -176,40 +164,13 @@ def _build_core(n: int, rotations: Sequence[Sequence[int]]) -> _Core:
                     comp_of_vertex[v] = comp_count
                     stack.append(v)
         comp_count += 1
-
-    isolated_count = sum(1 for nbrs in rotations if not nbrs)
-
-    # Genus-0 check in counting form: each of the c components drawn in
-    # the plane satisfies Euler's formula, and merging them side by side
-    # into one drawing leaves n - |E| + W + isolated = 2c.
-    edge_count = dart_count // 2
-    if n - edge_count + len(walks) + isolated_count != 2 * comp_count:
-        raise NonPlanarEmbeddingError(
-            f"n={n}, |E|={edge_count}, walks={len(walks)}, "
-            f"isolated={isolated_count}, components={comp_count}"
-        )
-
-    core = _Core()
-    core.n = n
-    core.rotations = tuple(tuple(nbrs) for nbrs in rotations)
-    core.tail = tail
-    core.head = head
-    core.twin = twin
-    core.face_next = face_next
-    core.dart_of = dart_of
-    core.walks = walks
-    core.walk_of_dart = walk_of_dart
-    core.comp_of_vertex = comp_of_vertex
-    core.comp_count = comp_count
-    core.isolated_count = isolated_count
-    return core
+    return comp_of_vertex, comp_count
 
 
-def _side_by_side_groups(core: _Core, outer_walk: int) -> list[list[int]]:
-    """Side-by-side grouping: the outer walk plus the first-discovered walk
-    of every other component form the outer region; all remaining walks
-    stand alone."""
-    walk_comp = [core.comp_of_vertex[core.tail[w[0]]] for w in core.walks]
+def _side_by_side_groups(walk_comp: list[int], outer_walk: int) -> list[list[int]]:
+    """Side-by-side grouping of walks, given each walk's component: the
+    outer walk plus the first-discovered walk of every other component
+    form the outer region; all remaining walks stand alone."""
     merged = {outer_walk}
     seen = {walk_comp[outer_walk]}
     for w, comp in enumerate(walk_comp):
@@ -217,7 +178,7 @@ def _side_by_side_groups(core: _Core, outer_walk: int) -> list[list[int]]:
             merged.add(w)
             seen.add(comp)
     groups = [sorted(merged)]
-    groups.extend([w] for w in range(len(core.walks)) if w not in merged)
+    groups.extend([w] for w in range(len(walk_comp)) if w not in merged)
     return groups
 
 
@@ -258,18 +219,39 @@ class PlaneGraph:
         rotations: Sequence[Sequence[int]],
         outer: tuple[int, int] | None = None,
     ):
-        core = _build_core(n, rotations)
+        if n < 0:
+            raise InstanceFormatError(f"vertex count must be nonnegative, got {n}")
+        if len(rotations) != n:
+            raise InstanceFormatError(
+                f"expected {n} rotation lists, got {len(rotations)}"
+            )
+        rotations = tuple(tuple(nbrs) for nbrs in rotations)
+        dart_of, tail, head, twin = _darts(n, rotations)
+        face_next, walks, walk_of_dart = _face_walks(rotations, dart_of, twin)
+        comp_of_vertex, comp_count = _components(rotations)
+
+        # Genus-0 check in counting form: each of the c components drawn in
+        # the plane satisfies Euler's formula, and merging them side by side
+        # into one drawing leaves n - |E| + W + isolated = 2c.
+        edge_count = len(tail) // 2
+        isolated_count = sum(1 for nbrs in rotations if not nbrs)
+        if n - edge_count + len(walks) + isolated_count != 2 * comp_count:
+            raise NonPlanarEmbeddingError(
+                f"n={n}, |E|={edge_count}, walks={len(walks)}, "
+                f"isolated={isolated_count}, components={comp_count}"
+            )
+
         self.n = n
-        self.rotations = core.rotations
-        self.tail = tuple(core.tail)
-        self.head = tuple(core.head)
-        self.twin = tuple(core.twin)
-        self.face_next = tuple(core.face_next)
-        self._dart_of = core.dart_of
-        self.dart_count = len(core.tail)
-        self.edge_count = self.dart_count // 2
-        self.comp_of_vertex = tuple(core.comp_of_vertex)
-        self.comp_count = core.comp_count
+        self.rotations = rotations
+        self.tail = tuple(tail)
+        self.head = tuple(head)
+        self.twin = tuple(twin)
+        self.face_next = tuple(face_next)
+        self._dart_of = dart_of
+        self.dart_count = len(tail)
+        self.edge_count = edge_count
+        self.comp_of_vertex = tuple(comp_of_vertex)
+        self.comp_count = comp_count
 
         if self.dart_count == 0:
             if outer is not None:
@@ -301,13 +283,15 @@ class PlaneGraph:
                 raise BadOuterDesignatorError(
                     f"expected a [u, v] pair, got {outer!r}"
                 ) from None
-            od = core.dart_of.get((ou, ov))
+            od = dart_of.get((ou, ov))
             if od is None:
                 raise BadOuterDesignatorError(f"{ou}->{ov} is not a dart of the graph")
             self.outer_dart = od
 
-            outer_walk = core.walk_of_dart[od]
-            groups = _side_by_side_groups(core, outer_walk)
+            outer_walk = walk_of_dart[od]
+            groups = _side_by_side_groups(
+                [comp_of_vertex[tail[w[0]]] for w in walks], outer_walk
+            )
             groups.sort(key=lambda g: g[0])
 
             faces = []
@@ -316,10 +300,10 @@ class PlaneGraph:
             for fid, walk_ids in enumerate(groups):
                 boundary: list[int] = []
                 for w in walk_ids:
-                    boundary.extend(core.walks[w])
+                    boundary.extend(walks[w])
                 for d in boundary:
                     face_of_dart[d] = fid
-                verts = sorted({core.tail[d] for d in boundary})
+                verts = sorted({tail[d] for d in boundary})
                 is_outer = outer_walk in walk_ids
                 if is_outer:
                     outer_face_id = fid
@@ -332,7 +316,7 @@ class PlaneGraph:
                     Face(
                         id=fid,
                         boundary=tuple(boundary),
-                        walks=tuple(core.walks[w] for w in walk_ids),
+                        walks=tuple(walks[w] for w in walk_ids),
                         length=len(boundary),
                         is_outer=is_outer,
                         is_triangle=is_triangle,

@@ -3,6 +3,7 @@
 import pytest
 
 from cactus_forge import GeneratorSpec, build_instance
+from cactus_forge.cli import main
 from cactus_forge.errors import TooSmallError, UnknownFamilyError
 from cactus_forge.generators import FAMILIES
 
@@ -52,6 +53,15 @@ class TestRandomMaximalPlanar:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             build_instance(GeneratorSpec("random_maximal_planar", n=2, seed=0))
+
+    def test_negative_flips_are_rejected(self, capsys):
+        # Not zero flips under another label: the count is bad input.
+        spec = GeneratorSpec("random_maximal_planar", n=10, seed=3, flips=-4)
+        with pytest.raises(TooSmallError, match="-4"):
+            build_instance(spec)
+        argv = ["generate", "--family", "random_maximal_planar", "--n", "8"]
+        assert main(argv + ["--flips", "-2"]) == 4
+        assert "flips must be at least 0, got -2" in capsys.readouterr().err
 
 
 def test_apollonian_stays_maximal():

@@ -1,4 +1,4 @@
-"""Greedy start, t-swap improvement, and the independent optimality check."""
+"""Greedy start, t-swap improvement, and the move scan against a reference walk."""
 
 import gc
 import weakref
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cactus_forge import (
     GeneratorSpec,
     SearchConfig,
+    TriangularCactus,
     acceptance_corpus,
     build_instance,
     find_improving_swap,
@@ -85,13 +86,12 @@ def test_trace_bookkeeping(rmp16):
 def test_move_enumeration_is_lexicographic(rmp16):
     # The search applies the first move found; that is the lexicographic
     # minimum only because the scan yields moves in increasing order.
-    for pruned in (True, False):
-        keys = [
-            (len(m.remove), m.remove, m.add)
-            for m in _MoveScan(rmp16, greedy_initial(rmp16), pruned).moves(2)
-        ]
-        assert len(keys) > 1
-        assert all(a < b for a, b in zip(keys, keys[1:]))
+    keys = [
+        (len(m.remove), m.remove, m.add)
+        for m in _MoveScan(rmp16, greedy_initial(rmp16)).moves(2)
+    ]
+    assert len(keys) > 1
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_one_swap_never_beats_two_swap():
@@ -120,12 +120,18 @@ def test_verifier_catches_suboptimal_greedy(rmp16):
     assert c.delta == before + 1
 
 
-def test_find_improving_swap_agrees_with_verifier(rmp16, octa):
-    for g in (octa, rmp16):
-        c = greedy_initial(g)
-        pruned = find_improving_swap(g, c, 2)
-        unpruned_ok, _ = verify_local_optimality(g, c, 2)
-        assert (pruned is None) == unpruned_ok
+def test_find_improving_swap_agrees_with_verifier(rmp16, octa, two_k4, bowtie):
+    # Both return the reference walk's first move, whatever the cactus.
+    for g in (octa, rmp16, two_k4, bowtie):
+        short = local_search(g)[0]
+        if len(short):
+            short.remove_triangle(short.triangle_ids[0])
+        for c in (greedy_initial(g), short, TriangularCactus(g)):
+            move = find_improving_swap(g, c, 2)
+            assert move == next(_ReferenceScan(g, c).moves(2), None)
+            assert verify_local_optimality(g, c, 2) == (move is None, move)
+        # A 2-swap optimum minus a triangle is not maximal: a 0-swap wins.
+        assert find_improving_swap(g, short, 2).remove == ()
 
 
 def test_witness_on_handmade_non_optimum(heavy_shape_bad):
@@ -156,7 +162,7 @@ def test_config_validation(rmp16, tmp_path, capsys):
     assert "--pivot" in capsys.readouterr().err
 
 
-# Triangle ids, moves_examined and the count of a final no-move pruned
+# Triangle ids, moves_examined and the count of a final no-move
 # scan of seeded runs, frozen so that a faster move scan must enumerate
 # exactly the same moves in the same order.  All but (48, 3, 1), which
 # ends one triangle short, stop at the ceiling, so their moves_examined
@@ -189,7 +195,7 @@ def test_pinned_search_runs(n, seed, t):
     assert c.triangle_ids == ids
     assert trace.moves_examined == examined
     assert c.at_ceiling == ((n, seed, t) != (48, 3, 1))
-    scan = _MoveScan(g, c, pruned=True)
+    scan = _MoveScan(g, c)
     assert next(scan.moves(t), None) is None
     assert scan.examined == final_scan
 
@@ -220,12 +226,10 @@ class _ReferenceScan:
     independent reference: one union-find per stage, and at each level a
     find/union/undo for every free triangle from the start position on."""
 
-    def __init__(self, g, c, pruned):
+    def __init__(self, g, c):
         self.g = g
-        self.pruned = pruned
         self.verts = [t.vertices for t in g.triangles]
         self.kept = c.triangle_ids
-        self.roots = c.labels()
         in_c = set(self.kept)
         self.free = [t.id for t in g.triangles if t.id not in in_c]
         self.examined = 0
@@ -270,11 +274,6 @@ class _ReferenceScan:
                 union(find(a), find(w))
         trail.clear()
 
-        touched = None
-        if self.pruned and removal:
-            disturbed = {self.roots[verts[x][0]] for x in removal}
-            touched = [r in disturbed for r in self.roots]
-
         free = self.free
         need = len(removal) + 1
         acc = []
@@ -284,8 +283,6 @@ class _ReferenceScan:
                 y = free[idx]
                 a, b, w = verts[y]
                 self.examined += 1
-                if touched is not None and not (touched[a] or touched[b] or touched[w]):
-                    continue
                 ra, rb, rw = find(a), find(b), find(w)
                 if ra == rb or rb == rw or ra == rw:
                     continue
@@ -305,14 +302,13 @@ class _ReferenceScan:
 
 
 def _assert_scans_agree(g, c):
-    for pruned in (True, False):
-        for t in (0, 1, 2):
-            scan, ref = _MoveScan(g, c, pruned), _ReferenceScan(g, c, pruned)
-            assert list(scan.moves(t)) == list(ref.moves(t)), (pruned, t)
-            assert scan.examined == ref.examined, (pruned, t)
-            scan, ref = _MoveScan(g, c, pruned), _ReferenceScan(g, c, pruned)
-            assert next(scan.moves(t), None) == next(ref.moves(t), None), (pruned, t)
-            assert scan.examined == ref.examined, (pruned, t)
+    for t in (0, 1, 2):
+        scan, ref = _MoveScan(g, c), _ReferenceScan(g, c)
+        assert list(scan.moves(t)) == list(ref.moves(t)), t
+        assert scan.examined == ref.examined, t
+        scan, ref = _MoveScan(g, c), _ReferenceScan(g, c)
+        assert next(scan.moves(t), None) == next(ref.moves(t), None), t
+        assert scan.examined == ref.examined, t
 
 
 def _cacti_along_the_search(g):
@@ -364,7 +360,7 @@ def test_a_finished_scan_is_freed_without_the_cycle_collector(rmp16):
     c, _ = local_search(rmp16)
     gc.disable()
     try:
-        scan = _MoveScan(rmp16, c, pruned=False)
+        scan = _MoveScan(rmp16, c)
         assert list(scan.moves(2)) == []  # every stage ran
         ref = weakref.ref(scan)
         del scan

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cactus_forge import (
     BudgetExceededError,
+    CactusForgeError,
     CandidateGuardError,
     GeneratorSpec,
     SearchConfig,
@@ -149,6 +150,20 @@ def test_budget_carries_partial_result(icosa):
     partial = exc.value.result
     assert partial.nodes_explored == 10
     assert partial.optimum == 5 and partial.exhausted
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_bad_input(octa, tmp_path, capsys, budget):
+    # Rejected before any rank evaluation, not reported as a spent budget.
+    message = f"--budget must be at least 1, got {budget}"
+    with pytest.raises(CactusForgeError, match=message) as exc:
+        max_cactus(face_candidates(octa), budget=budget)
+    assert not isinstance(exc.value, BudgetExceededError)
+    inst = tmp_path / "octa.json"
+    dump_instance(octa, inst)
+    assert main(["oracle", "--in", str(inst), "--budget", str(budget)]) == 4
+    err = capsys.readouterr().err
+    assert message in err and "oracle refused" not in err
 
 
 def brute_force_beta(cands):

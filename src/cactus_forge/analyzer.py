@@ -14,6 +14,9 @@ raised as an implementation bug rather than reported as data.
 Whether the cactus is 2-swap optimal is decided once, by analyze_cactus
 (with the verifier, or on the caller's word); component_report takes that
 answer as a required bool and builds each report in one straight pass.
+What the stages read of the host (component labels, cross triangles,
+each component's triangles and darts) is tabled once per cactus and
+shared by every component's report.
 
 Vocabulary used throughout:
 
@@ -265,6 +268,65 @@ class CactusReport:
 # the per-component engine
 
 
+class _HostTables:
+    """What every component's analysis reads of the host and the cactus,
+    built once per cactus.
+
+    label is the cactus component label per vertex and landing the
+    smallest vertex of each vertex's component.  members lists each
+    component's vertices, ascending, keyed by its label in order of the
+    smallest member; tri_ids holds each component's cactus triangles and
+    inside_of the host darts with both ends in it, both ascending.
+    apart merges the host faces across every edge whose ends lie in two
+    components.  cross_at maps a host dart to the triangular face on its
+    left and that face's third corner when the dart's two ends share a
+    component and the third corner lies outside it: one cross triangle
+    per entry.  survivor_of labels each triangular face whose three
+    corners share a component, and is -1 on every other face.
+    """
+
+    def __init__(self, g: PlaneGraph, cactus: TriangularCactus):
+        self.g = g
+        self.c = cactus
+        self.label = label = cactus.labels()
+        self.members: dict[int, list[int]] = {}
+        for v, r in enumerate(label):
+            self.members.setdefault(r, []).append(v)
+        self.landing = [self.members[r][0] for r in label]
+        self.tri_ids: dict[int, list[int]] = {}
+        for tid in cactus.triangle_ids:
+            r = label[g.triangles[tid].vertices[0]]
+            self.tri_ids.setdefault(r, []).append(tid)
+
+        tail, head, twin, face_of = g.tail, g.head, g.twin, g.face_of_dart
+        self.inside_of: dict[int, list[int]] = {}
+        self.apart = DisjointSet(len(g.faces))
+        for d in range(g.dart_count):
+            r = label[tail[d]]
+            if r == label[head[d]]:
+                self.inside_of.setdefault(r, []).append(d)
+            elif d < twin[d]:
+                self.apart.union(face_of[d], face_of[twin[d]])
+
+        self.cross_at: dict[int, tuple[int, int]] = {}
+        self.survivor_of = [-1] * len(g.faces)
+        for f in g.faces:
+            if not f.is_triangle:
+                continue
+            # A triangular face is one walk a -> b -> c -> a.
+            d1, d2, d3 = f.boundary
+            a, b, c = tail[d1], tail[d2], tail[d3]
+            la, lb, lc = label[a], label[b], label[c]
+            if la == lb == lc:
+                self.survivor_of[f.id] = la
+            elif la == lb:
+                self.cross_at[d1] = (f.id, c)
+            elif lb == lc:
+                self.cross_at[d2] = (f.id, a)
+            elif lc == la:
+                self.cross_at[d3] = (f.id, b)
+
+
 class _ComponentAnalysis:
     """One component, analyzed in a single straight pass.
 
@@ -274,31 +336,16 @@ class _ComponentAnalysis:
     Whether the cactus is 2-swap optimal is the caller's answer.
     """
 
-    def __init__(
-        self, g: PlaneGraph, cactus: TriangularCactus, component: Iterable[int]
-    ):
-        self.g = g
-        self.c = cactus
-        s = frozenset(component)
-        if not s:
-            raise NotAComponentError("the empty set is not a cactus component")
-        for v in s:
-            if not 0 <= v < g.n:
-                raise NotAComponentError(f"vertex {v} is not a vertex of the graph")
-        if s != cactus.component_of(min(s)):
-            raise NotAComponentError(
-                f"{sorted(s)} is not a component of the cactus partition"
-            )
-        self.s = s
-        self.tri_ids = sorted(
-            t for t in cactus.triangle_ids if set(g.triangles[t].vertices) <= s
-        )
-        # Smallest vertex per partition component, for stable landing ids.
-        self._label = cactus.labels()
-        self._landing: dict[int, int] = {}
-        for v, r in enumerate(self._label):
-            if v < self._landing.get(r, g.n):
-                self._landing[r] = v
+    def __init__(self, tables: _HostTables, root: int):
+        self.t = tables
+        self.g = tables.g
+        self.c = tables.c
+        self.root = root
+        self.members = tables.members[root]
+        self.s = frozenset(self.members)
+        # A singleton component has no triangle and no dart.
+        self.tri_ids = tables.tri_ids.get(root, [])
+        self.inside = tables.inside_of.get(root, [])
 
     def report(self, verified: bool) -> ComponentReport:
         g, s = self.g, self.s
@@ -334,11 +381,13 @@ class _ComponentAnalysis:
                 a_types[ec.cross_count] += 1
         a1, a2 = a_types[1], a_types[2]
 
-        anchored = sum(
-            1
-            for f in g.faces
-            if f.is_triangle and sum(v in s for v in f.vertices) >= 2
-        )
+        # Counted straight off the host faces, as the independent side of
+        # the recount identity.
+        anchored = 0
+        for f in g.faces:
+            if f.is_triangle:
+                a, b, c = f.vertices
+                anchored += (a in s) + (b in s) + (c in s) >= 2
         survive_total = sum(r.survive for r in supers)
         from_cactus = sum(t * n for t, n in enumerate(p_types))
         recount = p + from_cactus + a1 + 2 * a2 + survive_total
@@ -491,7 +540,7 @@ class _ComponentAnalysis:
         )
 
         return ComponentReport(
-            vertices=tuple(sorted(s)),
+            vertices=tuple(self.members),
             cactus_count=p,
             anchored_count=anchored,
             cactus_type_counts=tuple(p_types),
@@ -513,47 +562,48 @@ class _ComponentAnalysis:
     # -- stage 1: edges ------------------------------------------------
 
     def _edges(self) -> dict[tuple[int, int], EdgeClass]:
-        g, s = self.g, self.s
+        """Each edge of the component with its cross triangles, in the order
+        of its dart u -> v (u < v), which is by u, then by u's rotation."""
+        g, t = self.g, self.t
+        tail, head, twin = g.tail, g.head, g.twin
+        landing, cross_at = t.landing, t.cross_at
         table: dict[tuple[int, int], EdgeClass] = {}
-        for u in sorted(s):
-            for v in g.neighbors(u):
-                if v < u or v not in s:
+        for d in self.inside:
+            u, v = tail[d], head[d]
+            if v < u:
+                continue
+            crosses = []
+            for side in (d, twin[d]):
+                hit = cross_at.get(side)
+                if hit is None:
                     continue
-                crosses = []
-                for a, b in ((u, v), (v, u)):
-                    d = g.dart_id(a, b)
-                    f = g.faces[g.face_of_dart[d]]
-                    if not f.is_triangle:
-                        continue
-                    third = next(x for x in f.vertices if x not in (u, v))
-                    if third in s:
-                        continue
-                    crosses.append(
-                        CrossTriangle(
-                            face_id=f.id,
-                            support=(u, v),
-                            side_dart=d,
-                            third_vertex=third,
-                            landing=self._landing[self._label[third]],
-                        )
+                face_id, third = hit
+                crosses.append(
+                    CrossTriangle(
+                        face_id=face_id,
+                        support=(u, v),
+                        side_dart=side,
+                        third_vertex=third,
+                        landing=landing[third],
                     )
-                owner = self.c.edge_owner.get((u, v))
-                if owner is not None:
-                    kind = "cactus"
-                    if len(crosses) > 1:
-                        raise IdentityViolationError(
-                            f"cactus edge {(u, v)} reports {len(crosses)} cross "
-                            "triangles; one side is its own triangle face"
-                        )
-                else:
-                    kind = f"type-{len(crosses)}"
-                table[(u, v)] = EdgeClass(
-                    edge=(u, v),
-                    kind=kind,
-                    owner=owner,
-                    cross_count=len(crosses),
-                    crosses=tuple(crosses),
                 )
+            owner = self.c.edge_owner.get((u, v))
+            if owner is not None:
+                kind = "cactus"
+                if len(crosses) > 1:
+                    raise IdentityViolationError(
+                        f"cactus edge {(u, v)} reports {len(crosses)} cross "
+                        "triangles; one side is its own triangle face"
+                    )
+            else:
+                kind = f"type-{len(crosses)}"
+            table[(u, v)] = EdgeClass(
+                edge=(u, v),
+                kind=kind,
+                owner=owner,
+                cross_count=len(crosses),
+                crosses=tuple(crosses),
+            )
         return table
 
     # -- stage 2: triangles ---------------------------------------------
@@ -561,31 +611,48 @@ class _ComponentAnalysis:
     def _triangles(
         self, edges: dict[tuple[int, int], EdgeClass]
     ) -> tuple[dict[int, TriangleClass], list[str]]:
-        """Classify the cactus triangles, with the heavy-shape findings."""
-        crossed_chords = [
-            e for e, ec in edges.items() if ec.kind in ("type-1", "type-2")
+        """Classify the cactus triangles, with the heavy-shape findings.
+
+        A chord spans the edge of a triangle that joins the two split parts
+        holding its ends, read off the triangle's tour slices.
+        """
+        crossed = [
+            (b, ec.cross_count)
+            for b, ec in edges.items()
+            if ec.kind in ("type-1", "type-2")
         ]
+        if crossed:
+            _, pos, _, slices = self.c.tour()
+            crossed = [(b, n, pos[b[0]], pos[b[1]]) for b, n in crossed]
         table: dict[int, TriangleClass] = {}
         notes: list[str] = []
         for tid in self.tri_ids:
             tri = self.g.triangles[tid]
-            own = {e: edges[e].cross_count for e in tri.edges}
-            cross_type = sum(1 for n in own.values() if n)
-            parts = self.c.split_at(tid).parts
-            spanning: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-            load: dict[tuple[int, int], int] = {}
-            for e in tri.edges:
-                px, py = parts[e[0]], parts[e[1]]
-                chords = tuple(
-                    b
-                    for b in crossed_chords
-                    if (b[0] in px and b[1] in py) or (b[0] in py and b[1] in px)
-                )
-                spanning[e] = chords
-                load[e] = own[e] + sum(edges[b].cross_count for b in chords)
-            total = sum(own.values()) + sum(
-                edges[b].cross_count for bs in spanning.values() for b in bs
-            )
+            spanning: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+            spanning = dict.fromkeys(tri.edges, ())
+            family = dict.fromkeys(tri.edges, 0)  # crosses on spanning chords
+            if crossed:
+                cut = slices[tid]
+                # The parts are numbered 0, 1, 2, so the edge joining parts
+                # x != y is the one opposite the corner in part 3 - x - y.
+                opposite = {}
+                for e in tri.edges:
+                    corner = next(v for v in tri.vertices if v not in e)
+                    opposite[_split_part(cut, pos[corner])] = e
+                spans: dict[tuple[int, int], list[tuple[int, int]]] = {
+                    e: [] for e in tri.edges
+                }
+                for b, n, pb, pc in crossed:
+                    x, y = _split_part(cut, pb), _split_part(cut, pc)
+                    if x != y:
+                        e = opposite[3 - x - y]
+                        spans[e].append(b)
+                        family[e] += n
+                spanning = {e: tuple(bs) for e, bs in spans.items()}
+            own = [edges[e].cross_count for e in tri.edges]
+            cross_type = 3 - own.count(0)
+            load = {e: n + family[e] for e, n in zip(tri.edges, own)}
+            total = sum(load.values())
             ranked = sorted(load.values(), reverse=True)
             heavy = total >= 4 or (ranked[0] >= 3 and ranked[1] == 0)
             base = free_v = None
@@ -596,11 +663,10 @@ class _ComponentAnalysis:
                 # A spanning-chord family of three or more crosses forces
                 # heaviness under either clause, so light triangles can
                 # only ever see at most two per edge.
-                for e in tri.edges:
-                    family = sum(edges[b].cross_count for b in spanning[e])
-                    if family > 2:
+                for e, n in family.items():
+                    if n > 2:
                         raise IdentityViolationError(
-                            f"light triangle {tid} has {family} crosses on the "
+                            f"light triangle {tid} has {n} crosses on the "
                             f"spanning chords of edge {e}"
                         )
             table[tid] = TriangleClass(
@@ -662,36 +728,39 @@ class _ComponentAnalysis:
         edges leaving the component, which gives the component subgraph's
         faces, then the type-0 chords, which gives the skeleton's.
         """
-        g, s = self.g, self.s
+        g, t = self.g, self.t
         twin, face_of = g.twin, g.face_of_dart
-        regions = DisjointSet(len(g.faces))
-        inside = []
-        for d in range(g.dart_count):
-            if g.tail[d] in s and g.head[d] in s:
-                inside.append(d)
-            elif d < twin[d]:
-                regions.union(face_of[d], face_of[twin[d]])
-        outer = regions.find(g.outer_face_id)
-        boundary = [d for d in inside if regions.find(face_of[d]) == outer]
+        regions = t.apart.copy()
+        for root, darts in t.inside_of.items():
+            if root != self.root:
+                for d in darts:
+                    if d < twin[d]:
+                        regions.union(face_of[d], face_of[twin[d]])
+        inside = self.inside
+        region = regions.labels()  # per host face
+        outer = region[g.outer_face_id]
+        boundary = [d for d in inside if region[face_of[d]] == outer]
         if inside and not boundary:
             raise IdentityViolationError(
                 "outer region of the component subgraph has no boundary dart"
             )
 
         chords = {g.dart_id(*e) for e, ec in edges.items() if ec.kind == "type-0"}
-        for d in chords:
-            regions.union(face_of[d], face_of[twin[d]])
+        if chords:
+            for d in chords:
+                regions.union(face_of[d], face_of[twin[d]])
+            region = regions.labels()
         darts_of: dict[int, list[int]] = {}
         for d in inside:
             if d not in chords and twin[d] not in chords:
-                darts_of.setdefault(regions.find(face_of[d]), []).append(d)
+                darts_of.setdefault(region[face_of[d]], []).append(d)
         # Roots come up in order of their faces' smallest darts; an edgeless
         # skeleton (a singleton component) is one face.
-        darts_of = darts_of or {regions.find(g.outer_face_id): []}
+        darts_of = darts_of or {region[g.outer_face_id]: []}
         fid_of = {root: fid for fid, root in enumerate(darts_of)}
         host_faces: list[set[int]] = [set() for _ in darts_of]
-        for hf in range(len(g.faces)):
-            fid = fid_of.get(regions.find(hf))
+        for hf, root in enumerate(region):
+            fid = fid_of.get(root)
             if fid is None:
                 raise IdentityViolationError(
                     f"host face {hf} merged into a region with no skeleton dart"
@@ -701,14 +770,14 @@ class _ComponentAnalysis:
         cactus_face_of: dict[int, int] = {}
         for tid in self.tri_ids:
             hf = g.triangles[tid].face_id
-            cactus_face_of[tid] = fid = fid_of[regions.find(hf)]
+            cactus_face_of[tid] = fid = fid_of[region[hf]]
             if host_faces[fid] != {hf}:
                 raise IdentityViolationError(
                     f"face of cactus triangle {tid} merged with other regions"
                 )
         own = set(cactus_face_of.values())
         super_ids = tuple(f for f in range(len(fid_of)) if f not in own)
-        outer = fid_of[regions.find(g.outer_face_id)]
+        outer = fid_of[region[g.outer_face_id]]
         skel = Skeleton(
             face_darts=tuple(map(tuple, darts_of.values())),
             host_faces=tuple(map(frozenset, host_faces)),
@@ -732,7 +801,7 @@ class _ComponentAnalysis:
     ) -> tuple[SuperFace, ...]:
         """Occupancy, capacity and gain accounting per skeleton super-face,
         labelled when labels_on and graded against its floor when graded."""
-        g, s = self.g, self.s
+        g, survivor_of = self.g, self.t.survivor_of
 
         records = []
         for fid in skel.super_face_ids:
@@ -761,10 +830,7 @@ class _ComponentAnalysis:
                     if pair is not None:
                         pairs.append(pair)
             survive = sum(
-                1
-                for hf in skel.host_faces[fid]
-                if g.faces[hf].is_triangle
-                and all(v in s for v in g.faces[hf].vertices)
+                1 for hf in skel.host_faces[fid] if survivor_of[hf] == self.root
             )
             cap_half = 2 * free + occ
             gain_half = cap_half - 2 * survive
@@ -843,7 +909,7 @@ class _ComponentAnalysis:
         g = self.g
         w1, v = g.tail[d1], g.head[d1]
         w2 = g.head[g.face_next[d1]]
-        if w2 not in self.s:
+        if self.t.label[w2] != self.root:
             return None
         e1 = (w1, v) if w1 < v else (v, w1)
         e2 = (v, w2) if v < w2 else (w2, v)
@@ -869,6 +935,18 @@ class _ComponentAnalysis:
             f"{'outer' if r.is_outer else 'inner'}) has gain {r.gain_half}/2 "
             f"below its floor {r.floor_half}/2"
         )
+
+
+def _split_part(cut: tuple[tuple[int, int], tuple[int, int]], p: int) -> int:
+    """The part holding tour position p once a cactus triangle's edges are
+    deleted, for a position of the triangle's component: 1 or 2 inside the
+    first or second of its child-corner slices (cut, its EulerTour.slices
+    entry), 0 for the rest of the component, the part of its parent corner.
+    """
+    (start, mid), (_, end) = cut
+    if p < start or p >= end:
+        return 0
+    return 1 if p < mid else 2
 
 
 def _gain_floor_half(label: tuple[int, int, int], friendly: bool) -> int | None:
@@ -918,7 +996,19 @@ def component_report(
     NotLocallyOptimalError (without a witness), on a verified one it is
     kept as a failed verdict.
     """
-    return _ComponentAnalysis(g, cactus, component).report(verified)
+    s = frozenset(component)
+    if not s:
+        raise NotAComponentError("the empty set is not a cactus component")
+    for v in s:
+        if not 0 <= v < g.n:
+            raise NotAComponentError(f"vertex {v} is not a vertex of the graph")
+    tables = _HostTables(g, cactus)
+    root = tables.label[min(s)]
+    if s != frozenset(tables.members[root]):
+        raise NotAComponentError(
+            f"{sorted(s)} is not a component of the cactus partition"
+        )
+    return _ComponentAnalysis(tables, root).report(verified)
 
 
 def analyze_cactus(
@@ -936,7 +1026,7 @@ def analyze_cactus(
     whole cactus.  With verified=None the cactus is verified first, and
     one that admits an improving move of size at most 2 raises
     NotLocallyOptimalError with that move as its witness.  verified=True
-    or False is taken on trust.  Either way every component_report gets
+    or False is taken on trust.  Either way every component report gets
     the settled bool.
     """
     if verified is None:
@@ -948,19 +1038,20 @@ def analyze_cactus(
                 witness=witness,
             )
 
+    tables = _HostTables(g, cactus)
     reports = []
     singletons = 0
-    for comp in cactus.components():
+    for root, comp in tables.members.items():
         if len(comp) == 1:
             singletons += 1
             continue
-        reports.append(component_report(g, cactus, comp, verified=verified))
+        reports.append(_ComponentAnalysis(tables, root).report(verified))
 
     maximal = True
-    label = cactus.labels()
+    label = tables.label
     for tri in g.triangles:
-        roots = {label[v] for v in tri.vertices}
-        if len(roots) == 3:
+        a, b, c = tri.vertices
+        if label[a] != label[b] and label[b] != label[c] and label[a] != label[c]:
             maximal = False
             break
 

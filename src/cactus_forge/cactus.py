@@ -16,8 +16,10 @@ The components live in the package's one union-find,
 (Tarjan & Vishkin's Euler-tour technique).  Every tree of that forest,
 and every subtree hanging off a triangle's child corner, is then one
 contiguous slice of the tour.  Deleting triangles splits off exactly
-those slices, so the move scan labels a stage and ``split_at`` reports a
-triangle's three parts with slice copies instead of a walk per call.
+those slices, so the move scan labels a stage with slice copies instead
+of a walk per call, and the analyzer tells which of a triangle's three
+split parts holds a vertex by comparing its tour position with the
+triangle's slices.
 
 Removal does a full rebuild of the disjoint-set state.  Swaps remove at
 most two triangles on host graphs of desk scale, so simplicity wins over
@@ -26,10 +28,8 @@ a decremental connectivity structure.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidCactusError,
@@ -41,24 +41,12 @@ from .unionfind import DisjointSet
 
 __all__ = [
     "TriangularCactus",
-    "SplitComponents",
     "EulerTour",
     "is_valid_cactus",
     "triples_form_cactus",
     "cactus_to_triples",
     "cactus_from_triples",
 ]
-
-
-@dataclass(frozen=True)
-class SplitComponents:
-    """Vertex sets left after deleting one triangle's edges from its cactus.
-
-    parts maps each corner of the split triangle to the vertex set that
-    stays attached to it."""
-
-    triangle: int
-    parts: Mapping[int, frozenset[int]]
 
 
 class EulerTour(NamedTuple):
@@ -288,33 +276,6 @@ class TriangularCactus:
                 raise AssertionError(
                     "subset of a valid cactus failed to rebuild"
                 )
-
-    # -- splitting ---------------------------------------------------------
-
-    def split_at(self, t: int | Triangle) -> SplitComponents:
-        """Delete t's edges (keeping its corners) and report the three
-        vertex sets hanging off its corners."""
-        cand = _as_triangle(self.host, t)
-        if cand.id not in self._triangles:
-            raise TriangleNotInCactusError(
-                f"triangle {cand.vertices} is not in the cactus"
-            )
-        order, _, base, slices = self.tour()
-        (s, m), (_, e) = slices[cand.id]
-        # The component is the run of positions sharing t's root.
-        r = base[s]
-        end = bisect_right(base, r, s)
-        parts: dict[int, frozenset[int]] = {}
-        for corner in cand.vertices:
-            if corner == order[s]:
-                parts[corner] = frozenset(order[s:m])
-            elif corner == order[m]:
-                parts[corner] = frozenset(order[m:e])
-            else:
-                parts[corner] = frozenset(order[r:s] + order[e:end])
-        if sum(len(p) for p in parts.values()) != end - r:
-            raise AssertionError("split parts do not partition the component")
-        return SplitComponents(triangle=cand.id, parts=parts)
 
     def __repr__(self) -> str:
         return f"TriangularCactus(delta={self.delta}, host={self.host!r})"

@@ -470,12 +470,14 @@ def verify_corpus(
 
     Rows come back in corpus order no matter how many workers ran; the
     sweep never aborts on a bad row.  The strict per-component coverage
-    bound is tracked as a discrepancy log, not as a failure.
+    bound is tracked as a discrepancy log, not as a failure.  The pool
+    holds at most one process per row and per CPU, whatever the requested
+    count: it starts all of them at the first row it is handed.
     """
     specs = list(corpus)
-    workers = worker_count(threads)
+    workers = min(worker_count(threads), len(specs), os.cpu_count() or 1)
     pairs: list[tuple[BenchRow, dict]]
-    if workers == 1 or len(specs) <= 1:
+    if workers <= 1:
         pairs = [_bench_one(s, cfg) for s in specs]
     else:
         # Imported here: it loads multiprocessing, which the default single

@@ -87,7 +87,10 @@ class Triangle:
 def _darts(
     n: int, rotations: tuple[tuple[int, ...], ...]
 ) -> tuple[dict[tuple[int, int], int], list[int], list[int], list[int]]:
-    """Dart ids of a rotation system: (dart_of, tail, head, twin)."""
+    """Dart ids of a rotation system: (dart_of, tail, head, twin).
+
+    Darts are numbered by tail, then in the tail's rotation order.
+    """
     dart_of: dict[tuple[int, int], int] = {}
     tail: list[int] = []
     head: list[int] = []

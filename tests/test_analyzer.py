@@ -6,8 +6,10 @@ triangles.  Their numbers were frozen from the first verified run and
 cross-checked by hand against the counting rules.
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -24,6 +26,7 @@ from cactus_forge import (
 from cactus_forge.analyzer import _gain_floor_half
 from cactus_forge.errors import NotAComponentError
 from cactus_forge.pipeline import report_to_dict
+from reference_split import spanning_chords
 from reference_subgraph import reembed
 
 
@@ -191,6 +194,20 @@ class TestComponentReport:
         ]
         strict = next(v for v in r.verdicts if v.name == "strict-coverage-bound")
         assert strict.ok and not strict.required
+
+    def test_singleton_component_is_one_face(self, heavy_pair):
+        # Vertex 5 is untouched by the cactus: its component has no edge,
+        # so its skeleton is one face holding every host face.
+        g, c = heavy_pair.g, heavy_pair.cactus
+        r = component_report(g, c, [5], verified=False)
+        assert (r.vertices, r.cactus_count, r.anchored_count) == ((5,), 0, 0)
+        assert r.edges == {} and r.triangles == {}
+        assert r.skeleton.face_darts == ((),)
+        assert r.skeleton.host_faces == (frozenset(range(len(g.faces))),)
+        assert r.skeleton.super_face_ids == (0,) == (r.skeleton.outer_super_face,)
+        (face,) = r.super_faces
+        assert (face.boundary_len, face.survive, face.gain_half) == (0, 0, 0)
+        assert r.ok
 
     def test_component_argument_is_validated(self, heavy_pair):
         g, c = heavy_pair.g, heavy_pair.cactus
@@ -376,3 +393,77 @@ def test_reports_match_the_frozen_digest(heavy_cases):
         digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
     assert len(cases) == 67
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def _edge_deleted_optima():
+    """2-swap optima on triangulations with a fifth of their edges dropped:
+    cacti with several components, crossed chords and spanning chords."""
+    for seed in range(40):
+        host = build_instance(
+            GeneratorSpec("random_maximal_planar", n=10 + seed % 21, seed=seed)
+        )
+        rng = random.Random(seed)
+        kept = {e for e in sorted(host.edge_set) if rng.random() >= 0.2}
+        g, _, _ = reembed(host, kept)
+        c, _ = local_search(g)
+        yield f"edge-deleted s{seed}", g, c, None
+
+
+def _canonical(obj):
+    """Every field of a report as JSON: dataclasses by class and field,
+    mappings in iteration order, sets sorted, tuples told from lists."""
+    if dataclasses.is_dataclass(obj):
+        return [
+            type(obj).__name__,
+            [[f.name, _canonical(getattr(obj, f.name))] for f in dataclasses.fields(obj)],
+        ]
+    if isinstance(obj, dict):
+        return ["dict", [[_canonical(k), _canonical(v)] for k, v in obj.items()]]
+    if isinstance(obj, (set, frozenset)):
+        return ["set", sorted(_canonical(x) for x in obj)]
+    if isinstance(obj, tuple):
+        return ["tuple", [_canonical(x) for x in obj]]
+    if isinstance(obj, list):
+        return ["list", [_canonical(x) for x in obj]]
+    assert obj is None or type(obj) in (bool, int, str), type(obj)
+    return obj
+
+
+def test_spanning_chords_match_the_split_parts(heavy_cases):
+    # The analyzer tests chord ends by tour position; the reference builds
+    # the three split parts as vertex sets.
+    spans = 0
+    cases = heavy_cases + list(_outer_count_cases()) + list(_edge_deleted_optima())
+    for name, g, c, _ in cases:
+        for comp in c.components():
+            if len(comp) == 1:
+                continue
+            r = component_report(g, c, comp, verified=True)
+            crossed = [e for e, ec in r.edges.items() if ec.kind in ("type-1", "type-2")]
+            for tid, tc in r.triangles.items():
+                assert tc.spanning_chords == spanning_chords(c, tid, crossed), (name, tid)
+                spans += sum(map(bool, tc.spanning_chords.values()))
+    assert spans > 100
+
+
+# sha256 of _canonical(CactusReport) over the REPORTS_SHA256 cases, then
+# _edge_deleted_optima().  Unlike REPORTS_SHA256 it covers the edges, the
+# crosses and their landings, the spanning chords, the skeleton and the
+# super-face sides, and the order of every mapping.
+FULL_REPORTS_SHA256 = "7e3e188d8cce29a27085169d9c08c54988a9ac9d3b7f513f495f9533fac3734d"
+
+
+def test_full_reports_match_the_frozen_digest(heavy_cases):
+    digest = hashlib.sha256()
+    cases = list(_outer_count_cases()) + heavy_cases + list(_edge_deleted_optima())
+    components = crossed = 0
+    for _, g, c, verified in cases:
+        report = analyze_cactus(g, c, verified=verified)
+        digest.update(json.dumps(_canonical(report)).encode())
+        components += len(report.components)
+        crossed += sum(
+            1 for r in report.components if r.chord_type_counts[1] + r.chord_type_counts[2]
+        )
+    assert len(cases) == 107
+    assert (components, crossed) == (156, 72)
+    assert digest.hexdigest() == FULL_REPORTS_SHA256

@@ -17,9 +17,11 @@ from cactus_forge import (
     is_valid_cactus,
     local_search,
 )
+from cactus_forge.analyzer import _split_part
 from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.errors import TriangleNotInCactusError, UnknownTriangleError
 from cactus_forge.unionfind import DisjointSet
+from reference_split import split_at
 
 
 def test_empty_cactus(k4):
@@ -103,7 +105,7 @@ def test_remove_triangle(heavy_path):
 def test_split_at_parts(heavy_path):
     c = heavy_path.cactus
     middle = [t.id for t in heavy_path.g.triangles if t.vertices == (1, 2, 5)][0]
-    sp = c.split_at(middle)
+    sp = split_at(c, middle)
     assert sp.triangle == middle
     assert sp.parts[1] == {0, 1, 4}
     assert sp.parts[2] == {2, 3, 6}
@@ -117,7 +119,7 @@ def test_split_requires_membership(heavy_path):
     outsider = [t.id for t in heavy_path.g.triangles if t.vertices not in
                 {(0, 1, 4), (1, 2, 5), (2, 3, 6)}][0]
     with pytest.raises(TriangleNotInCactusError):
-        c.split_at(outsider)
+        split_at(c, outsider)
 
 
 def test_triples_roundtrip(heavy_pair):
@@ -212,7 +214,19 @@ def _assert_tour_matches_bfs(c):
             kept = [t for t in ids if t not in removal]
             assert _same_partition(by_vertex, _union_find_labels(g, kept)), removal
     for tid in ids:
-        assert c.split_at(tid).parts == _bfs_split(c, tid)
+        expected = _bfs_split(c, tid)
+        assert split_at(c, tid).parts == expected
+        # The analyzer's parts: positions of the triangle's component,
+        # grouped by the part _split_part assigns them.
+        cut = tour.slices[tid]
+        root = tour.base[cut[0][0]]
+        by_part = {}
+        for v in range(g.n):
+            if tour.base[tour.pos[v]] == root:
+                by_part.setdefault(_split_part(cut, tour.pos[v]), set()).add(v)
+        assert {
+            corner: by_part[_split_part(cut, tour.pos[corner])] for corner in expected
+        } == expected
 
 
 @settings(

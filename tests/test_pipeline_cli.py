@@ -1,5 +1,6 @@
 """End-to-end pipelines, the corpus harness, and the command line."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -292,6 +293,38 @@ class TestCorpusHarness:
         write_csv(verify_corpus(corpus, threads=1).rows, one)
         write_csv(verify_corpus(corpus, threads=2).rows, two)
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize(
+        "threads, rows, cpus, expected",
+        [(100_000, 3, 2, 2), (100_000, 3, 8, 3), (2, 3, 8, 2), (4, 3, None, None)],
+    )
+    def test_pool_is_capped_by_rows_and_cpus(
+        self, monkeypatch, threads, rows, cpus, expected
+    ):
+        # A fake pool records its size and runs the rows in this process,
+        # so no worker is started whatever the requested count.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        corpus = acceptance_corpus(rmp_count=rows)[:rows]
+        res = verify_corpus(corpus, threads=threads)
+        assert [r.instance for r in res.rows] == [s.label() for s in corpus]
+        # cpu_count() may not know the count; then the sweep runs inline.
+        assert sizes == ([] if expected is None else [expected])
 
     def test_import_does_not_load_multiprocessing(self):
         probe = "import sys, cactus_forge.cli; print('multiprocessing' in sys.modules)"

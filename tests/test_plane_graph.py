@@ -39,6 +39,12 @@ class TestConstruction:
         assert triangle.has_edge(2, 0) and triangle.has_edge(0, 2)
         assert not triangle.has_edge(0, 0)
 
+    def test_darts_are_numbered_by_tail_then_rotation(self, necklace, bowtie):
+        # The analyzer lists a component's edges in dart order.
+        for g in (necklace, bowtie):
+            darts = [(g.tail[d], g.head[d]) for d in range(g.dart_count)]
+            assert darts == [(u, v) for u in range(g.n) for v in g.neighbors(u)]
+
     def test_triangle_faces(self, triangle):
         assert len(triangle.faces) == 2
         assert triangle.f3_internal == 1

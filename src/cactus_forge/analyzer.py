@@ -1023,7 +1023,8 @@ def analyze_cactus(
     upper bound certificate for all of them.
 
     This is where the analyzer decides 2-swap optimality, once for the
-    whole cactus.  With verified=None the cactus is verified first, and
+    whole cactus.  With verified=None the cactus is verified first (at
+    the ceiling without a scan, see ``verify_local_optimality``), and
     one that admits an improving move of size at most 2 raises
     NotLocallyOptimalError with that move as its witness.  verified=True
     or False is taken on trust.  Either way every component report gets

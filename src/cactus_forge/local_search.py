@@ -20,13 +20,15 @@ distinct.  ``moves_examined`` counts the free triangles a
 per-position walk would visit, one per position of the free order at
 each level, whether or not the narrowed list still holds it.
 
-The search, its final no-move scan and ``verify_local_optimality`` all
-run this one scan.  It needs no pruning of the add-sets: the 0-swap
-stage runs first, and once it finds no move the cactus is maximal.  So
-every free triangle has two corners in one component of the cactus,
-and when no corner lies in a component that X splits, those two keep
-one label and level 0 already rejects the triangle.  Tests check the
-scan against an independent per-position walk.
+The search and its final no-move scan run this one scan, and so does
+``verify_local_optimality`` below the ceiling; at the ceiling the
+verifier certifies the cactus without scanning.  The scan needs no
+pruning of the add-sets: the 0-swap stage runs first, and once it finds
+no move the cactus is maximal.  So every free triangle has two corners
+in one component of the cactus, and when no corner lies in a component
+that X splits, those two keep one label and level 0 already rejects the
+triangle.  Tests check the scan, and the verifier at the ceiling,
+against an independent per-position walk.
 """
 
 from __future__ import annotations
@@ -192,7 +194,13 @@ def verify_local_optimality(
     g: PlaneGraph, c: TriangularCactus, t: int = 2
 ) -> tuple[bool, SwapMove | None]:
     """(True, None) when no improving move of size <= t exists, otherwise
-    (False, the move ``find_improving_swap`` returns) as a witness."""
+    (False, the move ``find_improving_swap`` returns) as a witness.
+
+    A cactus at the ceiling of ``TriangularCactus.at_ceiling`` is a
+    maximum cactus, so no move can improve it and no scan runs; below
+    the ceiling the verifier runs the search's move scan."""
+    if c.at_ceiling:
+        return True, None
     move = find_improving_swap(g, c, t)
     return move is None, move
 

@@ -333,11 +333,17 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     oracle_status is "parity-ceiling" (the parity rank reached the
     ceiling, so beta is certain), "parity" (below the ceiling, so beta is
     right with high probability) or "error" (the row failed before or
-    inside the oracle), next to that ceiling.
+    inside the oracle), next to that ceiling.  certified_by says how the
+    verifier settled the 2-swap result: "ceiling" (it reached the
+    ceiling of ``TriangularCactus.at_ceiling``, so no scan ran),
+    "verifier" (it ran the move scan) or None (the row failed before the
+    verifier).
     """
     label = spec.label()
     failures: list[str] = []
-    sidecar: dict = {"instance": label, "oracle_status": "error", "ceiling": None}
+    sidecar: dict = {
+        "instance": label, "oracle_status": "error", "ceiling": None, "certified_by": None,
+    }
     try:
         g = build(spec)
     except Exception as exc:
@@ -374,12 +380,15 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
             failures.append(f"main-bound: 6*{d2} < f3_internal {g.f3_internal}")
 
         # The verifier is timed on its own for the sidecar; analyze_s
-        # still includes it.  It is looked up on the analyzer module at
-        # call time, where analyze_cactus finds it too, so perfbench's
-        # tracer (which wraps it there) records this call.
+        # still includes it.  At the ceiling it certifies the cactus
+        # without scanning, and certified_by says which way it went.  It
+        # is looked up on the analyzer module at call time, where
+        # analyze_cactus finds it too, so perfbench's tracer (which wraps
+        # it there) records this call.
         start = time.perf_counter()
         verified, _ = analyzer.verify_local_optimality(g, c2, 2)
         verified_at = time.perf_counter()
+        sidecar["certified_by"] = "ceiling" if c2.at_ceiling else "verifier"
         report = analyze_cactus(g, c2, verified=verified)
         t_analyze = time.perf_counter() - start
         t_verify = verified_at - start

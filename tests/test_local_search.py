@@ -1,6 +1,8 @@
 """Greedy start, t-swap improvement, and the move scan against a reference walk."""
 
 import gc
+import random
+import sys
 import weakref
 from itertools import combinations
 
@@ -9,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from cactus_forge import (
     GeneratorSpec,
+    NotLocallyOptimalError,
     SearchConfig,
     TriangularCactus,
     acceptance_corpus,
+    analyze_cactus,
     build_instance,
     find_improving_swap,
     greedy_initial,
@@ -21,6 +25,7 @@ from cactus_forge import (
 from cactus_forge.cli import main
 from cactus_forge.local_search import SwapMove, _MoveScan, apply_move
 from cactus_forge.plane_graph import dump_instance
+from reference_subgraph import reembed
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +213,7 @@ def test_search_stops_at_the_ceiling(two_k4):
 
 
 def test_ceiling_results_pass_the_unpruned_verifier():
+    # The verifier certifies these without a scan; the raw scan must agree.
     specs = [
         GeneratorSpec("random_maximal_planar", n=n, seed=n) for n in range(4, 25)
     ] + list(acceptance_corpus(0))
@@ -218,7 +224,35 @@ def test_ceiling_results_pass_the_unpruned_verifier():
         if c.at_ceiling:
             at_ceiling += 1
             assert verify_local_optimality(g, c, 2) == (True, None)
+            assert find_improving_swap(g, c, 2) is None
     assert at_ceiling > len(specs) // 2
+
+
+def test_the_ceiling_certificate_runs_no_scan(monkeypatch, rmp16, octa, two_k4):
+    def no_scan(*args):
+        raise AssertionError("the verifier scanned a cactus at the ceiling")
+
+    cacti = []
+    for g in (rmp16, octa, two_k4):
+        c, _ = local_search(g)
+        assert c.at_ceiling
+        cacti.append((g, c))
+    monkeypatch.setattr(sys.modules[_MoveScan.__module__], "_MoveScan", no_scan)
+    for g, c in cacti:
+        for t in (0, 1, 2):
+            assert verify_local_optimality(g, c, t) == (True, None)
+        assert analyze_cactus(g, c).verified_optimal
+
+
+def test_below_the_ceiling_the_verifier_returns_the_scan_witness(rmp16):
+    c = greedy_initial(rmp16)
+    assert not c.at_ceiling
+    move = find_improving_swap(rmp16, c, 2)
+    assert move is not None
+    assert verify_local_optimality(rmp16, c, 2) == (False, move)
+    with pytest.raises(NotLocallyOptimalError) as exc:
+        analyze_cactus(rmp16, c)
+    assert exc.value.witness == move
 
 
 class _ReferenceScan:
@@ -352,6 +386,29 @@ def test_scan_matches_the_reference_walk_on_small_cacti(n, seed, strength, drop)
     if drop and len(c):
         c.remove_triangle(c.triangle_ids[seed % len(c)])
     _assert_scans_agree(g, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 14),
+    st.integers(0, 10_000),
+    st.integers(0, 2),
+    st.booleans(),
+    st.sampled_from([0.0, 0.15, 0.3]),
+)
+def test_verifier_matches_the_reference_walk(n, seed, strength, drop, p):
+    # On a cactus at the ceiling the verifier runs no scan, so this checks
+    # the certificate itself: the reference walk must find no move there.
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    if p:
+        rng = random.Random(seed)
+        g = reembed(g, {e for e in sorted(g.edge_set) if rng.random() >= p})[0]
+    c = local_search(g, SearchConfig(t=strength))[0] if strength else greedy_initial(g, seed)
+    if drop and len(c):
+        c.remove_triangle(c.triangle_ids[seed % len(c)])
+    for t in (1, 2):
+        ref = next(_ReferenceScan(g, c).moves(t), None)
+        assert verify_local_optimality(g, c, t) == (ref is None, ref), t
 
 
 def test_a_finished_scan_is_freed_without_the_cycle_collector(rmp16):

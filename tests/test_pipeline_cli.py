@@ -343,11 +343,24 @@ class TestCorpusHarness:
         assert all(d["ok"] for d in data)
 
     def test_sidecar_times_the_verifier_inside_analyze(self):
+        # These rows end at the ceiling, where the verifier certifies
+        # without a scan, so verify_s may round to zero.
         res = verify_corpus(acceptance_corpus(rmp_count=6)[2:6])
         for row, side in zip(res.rows, res.reports):
             wall = side["wall"]
-            assert 0 < wall["verify_s"] <= wall["analyze_s"]
+            assert side["certified_by"] == "ceiling"
+            assert 0 <= wall["verify_s"] <= wall["analyze_s"]
             assert wall["analyze_s"] == round(row.wall_analyze_s, 6)
+
+    def test_sidecar_times_the_verifier_below_the_ceiling(self):
+        # This 2-swap optimum ends one triangle short of the ceiling, so
+        # the verifier runs its move scan.
+        res = verify_corpus([GeneratorSpec("random_maximal_planar", n=33, seed=90)])
+        (row,), (side,) = res.rows, res.reports
+        assert row.ok and side["certified_by"] == "verifier"
+        wall = side["wall"]
+        assert 0 < wall["verify_s"] <= wall["analyze_s"]
+        assert wall["analyze_s"] == round(row.wall_analyze_s, 6)
 
     def test_sidecar_splits_solve_into_its_three_searches(self):
         res = verify_corpus(acceptance_corpus(rmp_count=6)[2:6])
@@ -373,6 +386,7 @@ class TestCorpusHarness:
         monkeypatch.setattr(pipeline, "local_search", weak)
         res = verify_corpus([spec])
         assert res.rows[0].failures == ("analyzer: 2-swap result fails the verifier",)
+        assert res.reports[0]["certified_by"] == "verifier"
         wall = res.reports[0]["wall"]
         assert 0 < wall["verify_s"] <= wall["analyze_s"]
 
@@ -414,6 +428,7 @@ class TestCorpusHarness:
         assert (small["ceiling"], large["ceiling"]) == (4, 14)
         assert [r.beta_faces for r in res.rows[:2]] == [4, 14]
         assert error["oracle_status"] == "error" and error["ceiling"] is None
+        assert error["certified_by"] is None
         assert res.rows[2].beta_faces is None
         assert "oracle_nodes" not in small
 

@@ -277,6 +277,7 @@ class _HostTables:
     component's vertices, ascending, keyed by its label in order of the
     smallest member; tri_ids holds each component's cactus triangles and
     inside_of the host darts with both ends in it, both ascending.
+    owner maps each cactus edge (u, v), u < v, to its triangle.
     apart merges the host faces across every edge whose ends lie in two
     components.  cross_at maps a host dart to the triangular face on its
     left and that face's third corner when the dart's two ends share a
@@ -294,9 +295,12 @@ class _HostTables:
             self.members.setdefault(r, []).append(v)
         self.landing = [self.members[r][0] for r in label]
         self.tri_ids: dict[int, list[int]] = {}
+        self.owner: dict[tuple[int, int], int] = {}
         for tid in cactus.triangle_ids:
-            r = label[g.triangles[tid].vertices[0]]
-            self.tri_ids.setdefault(r, []).append(tid)
+            tri = g.triangles[tid]
+            self.tri_ids.setdefault(label[tri.vertices[0]], []).append(tid)
+            for e in tri.edges:
+                self.owner[e] = tid
 
         tail, head, twin, face_of = g.tail, g.head, g.twin, g.face_of_dart
         self.inside_of: dict[int, list[int]] = {}
@@ -587,7 +591,7 @@ class _ComponentAnalysis:
                         landing=landing[third],
                     )
                 )
-            owner = self.c.edge_owner.get((u, v))
+            owner = t.owner.get((u, v))
             if owner is not None:
                 kind = "cactus"
                 if len(crosses) > 1:

@@ -10,7 +10,8 @@ construction; ``is_valid_cactus`` re-checks any triangle set from scratch
 and serves as the independent oracle for the incremental bookkeeping.
 
 The components live in the package's one union-find,
-``unionfind.DisjointSet``; callers read them through ``labels()``.
+``unionfind.DisjointSet``; callers read them through ``labels()``.  It
+keeps nothing per edge: edge owners come from ``triangle_ids``.
 
 ``tour()`` walks the cactus's vertex-triangle forest once in preorder
 (Tarjan & Vishkin's Euler-tour technique).  Every tree of that forest,
@@ -28,7 +29,6 @@ a decremental connectivity structure.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     TriangleNotInCactusError,
     UnknownTriangleError,
 )
-from .plane_graph import PlaneGraph, Triangle
+from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
 
 __all__ = [
@@ -85,11 +85,8 @@ class EulerTour(NamedTuple):
         return label
 
 
-def _as_triangle(host: PlaneGraph, t: int | Triangle) -> Triangle:
-    if isinstance(t, Triangle):
-        tid = t.id
-    else:
-        tid = t
+def _check_id(host: PlaneGraph, tid: int) -> int:
+    """tid itself when it numbers a candidate triangle of host."""
     # bool is an int subclass, so True would otherwise name triangle 1.
     if (
         not isinstance(tid, int)
@@ -97,35 +94,29 @@ def _as_triangle(host: PlaneGraph, t: int | Triangle) -> Triangle:
         or not 0 <= tid < len(host.triangles)
     ):
         raise UnknownTriangleError(
-            f"{t!r} is not a candidate triangle of the host graph"
+            f"{tid!r} is not a candidate triangle id of the host graph"
         )
-    cand = host.triangles[tid]
-    if isinstance(t, Triangle) and cand != t:
-        raise UnknownTriangleError(
-            f"triangle {t.vertices} does not match host candidate {tid}"
-        )
-    return cand
+    return tid
 
 
 class TriangularCactus:
     """Mutable cactus state: chosen triangles plus vertex components.
 
     Components partition all of V(host); vertices untouched by any
-    triangle are singletons.
+    triangle are singletons.  Triangles are named by their ids in
+    ``host.triangles``.
     """
 
-    def __init__(self, host: PlaneGraph, triangles: Iterable[int | Triangle] = ()):
+    def __init__(self, host: PlaneGraph, triangles: Iterable[int] = ()):
         self.host = host
         self._triangles: set[int] = set()
         self._uf = DisjointSet(host.n)
-        self.edge_owner: dict[tuple[int, int], int] = {}
         self._tour: EulerTour | None = None
-        for t in triangles:
-            if not self.try_add_triangle(t):
-                cand = _as_triangle(host, t)
+        for tid in triangles:
+            if not self.try_add_triangle(tid):
                 raise InvalidCactusError(
-                    f"triangle {cand.vertices} does not extend the cactus; "
-                    "the triangle set is not a valid cactus"
+                    f"triangle {host.triangles[tid].vertices} does not extend "
+                    "the cactus; the triangle set is not a valid cactus"
                 )
 
     # -- views ------------------------------------------------------------
@@ -141,27 +132,19 @@ class TriangularCactus:
 
     @property
     def at_ceiling(self) -> bool:
-        """True when the cactus reaches the ceiling no cactus of the host exceeds.
+        """True when the cactus reaches ``host.ceiling``, which no cactus of
+        the host exceeds (``plane_graph.cactus_ceiling``).
 
-        A triangle lies inside one host component and merges three vertex
-        components into one, so a host component of s vertices holds at
-        most (s - 1) // 2 triangles; the ceiling is the sum over the host's
-        components.  At the ceiling no swap can improve the cactus, which
-        certifies local optimality without a search.  Below it the cactus
-        may still be a maximum one: the bound is not always reached.
+        At the ceiling the cactus is a maximum one, so no swap can improve
+        it, which certifies local optimality without a search.
         """
-        sizes = Counter(self.host.comp_of_vertex)
-        return len(self._triangles) == sum((s - 1) // 2 for s in sizes.values())
+        return len(self._triangles) == self.host.ceiling
 
-    def __contains__(self, t: int | Triangle) -> bool:
-        tid = t.id if isinstance(t, Triangle) else t
-        return tid in self._triangles
+    def __contains__(self, tid: int) -> bool:
+        return _check_id(self.host, tid) in self._triangles
 
     def __len__(self) -> int:
         return len(self._triangles)
-
-    def spanned_vertices(self) -> frozenset[int]:
-        return frozenset(v for edge in self.edge_owner for v in edge)
 
     def labels(self) -> list[int]:
         """One component label per vertex; labels are equal exactly within
@@ -187,7 +170,6 @@ class TriangularCactus:
         dup.host = self.host
         dup._triangles = set(self._triangles)
         dup._uf = self._uf.copy()
-        dup.edge_owner = dict(self.edge_owner)
         dup._tour = None
         return dup
 
@@ -243,33 +225,28 @@ class TriangularCactus:
 
     # -- mutation -----------------------------------------------------------
 
-    def try_add_triangle(self, t: int | Triangle) -> bool:
-        """Add t if its corners lie in three distinct components."""
-        cand = _as_triangle(self.host, t)
-        u, v, w = cand.vertices
+    def try_add_triangle(self, tid: int) -> bool:
+        """Add triangle tid if its corners lie in three distinct components."""
+        u, v, w = self.host.triangles[_check_id(self.host, tid)].vertices
         uf = self._uf
         ru, rv, rw = uf.find(u), uf.find(v), uf.find(w)
         if ru == rv or rv == rw or ru == rw:
             return False
-        self._triangles.add(cand.id)
+        self._triangles.add(tid)
         self._tour = None
         uf.union(ru, rv)
         uf.union(ru, rw)
-        for a, b in cand.edges:
-            self.edge_owner[(a, b)] = cand.id
         return True
 
-    def remove_triangle(self, t: int | Triangle) -> None:
-        """Drop t and rebuild the component structure from scratch."""
-        cand = _as_triangle(self.host, t)
-        if cand.id not in self._triangles:
+    def remove_triangle(self, tid: int) -> None:
+        """Drop triangle tid and rebuild the component structure from scratch."""
+        if tid not in self:
             raise TriangleNotInCactusError(
-                f"triangle {cand.vertices} is not in the cactus"
+                f"triangle {self.host.triangles[tid].vertices} is not in the cactus"
             )
-        remaining = self._triangles - {cand.id}
+        remaining = self._triangles - {tid}
         self._triangles = set()
         self._uf = DisjointSet(self.host.n)
-        self.edge_owner = {}
         self._tour = None
         for tid in sorted(remaining):
             if not self.try_add_triangle(tid):
@@ -306,16 +283,16 @@ def triples_form_cactus(triples: Iterable[Sequence[int]]) -> bool:
     return merges == 2 * len(triples)
 
 
-def is_valid_cactus(g: PlaneGraph, tris: Iterable[int | Triangle]) -> bool:
+def is_valid_cactus(g: PlaneGraph, ids: Iterable[int]) -> bool:
     """Order-independent validity check straight from the definition.
 
-    True iff the triangles' edge sets are pairwise disjoint and the rank
-    identity spanned_vertices - spanned_components = 2k holds.
+    True iff the triangles with these ids have pairwise disjoint edge sets
+    and the rank identity spanned_vertices - spanned_components = 2k holds.
     """
-    cands = [_as_triangle(g, t) for t in tris]
-    if len({c.id for c in cands}) != len(cands):
+    ids = [_check_id(g, tid) for tid in ids]
+    if len(set(ids)) != len(ids):
         return False
-    return triples_form_cactus([c.vertices for c in cands])
+    return triples_form_cactus([g.triangles[tid].vertices for tid in ids])
 
 
 # -- serialization -------------------------------------------------------
@@ -333,7 +310,9 @@ def cactus_from_triples(
     by_vertices = {cand.vertices: cand.id for cand in g.triangles}
     ids = []
     for triple in triples:
-        key = tuple(sorted(triple))
+        # bool is an int subclass, so True would otherwise name vertex 1.
+        plain = all(isinstance(v, int) and not isinstance(v, bool) for v in triple)
+        key = tuple(sorted(triple)) if plain else ()
         if len(key) != 3 or key not in by_vertices:
             raise UnknownTriangleError(
                 f"{list(triple)} is not a candidate triangle of the instance"

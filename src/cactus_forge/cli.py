@@ -228,13 +228,16 @@ def _cmd_bench(args) -> int:
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: `bench --t 2` would otherwise mean `--threads 2`.
     parser = argparse.ArgumentParser(
         prog="cactus-forge",
         description="Triangular-cactus subgraphs of plane graphs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("generate", help="emit a corpus instance as JSON")
+    p = add("generate", help="emit a corpus instance as JSON")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
@@ -246,15 +249,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="run the t-swap local search")
+    p = add("solve", help="run the t-swap local search")
     p.add_argument("--in", dest="path", required=True)
     _add_solver_flags(p)
     p.add_argument("--out", default=None, help="write the cactus triples here")
     p.add_argument("--trace", default=None, help="write the search trace here")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="beta by matroid parity rank, with a "
-                                      "maximum cactus by self-reduction")
+    p = add("oracle", help="beta by matroid parity rank, with a "
+                           "maximum cactus by self-reduction")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--all-triangles", action="store_true",
                    help="use all 3-cliques, not just triangular faces")
@@ -266,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("analyze", help="structural report for a solved cactus")
+    p = add("analyze", help="structural report for a solved cactus")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--cactus", required=True, help="JSON list of triples")
     p.add_argument("--no-verify", action="store_true",
@@ -275,19 +278,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("mps", help="cactus plus forest planar subgraph")
+    p = add("mps", help="cactus plus forest planar subgraph")
     p.add_argument("--in", dest="path", required=True)
     _add_solver_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_mps)
 
-    p = sub.add_parser("mpt", help="cactus as a plane subgraph, faces recounted")
+    p = add("mpt", help="cactus as a plane subgraph, faces recounted")
     p.add_argument("--in", dest="path", required=True)
     _add_solver_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_mpt)
 
-    p = sub.add_parser("bench", help="sweep the corpus and write CSV + sidecar")
+    p = add("bench", help="sweep the corpus and write CSV + sidecar")
     p.add_argument("--rmp-count", type=int, default=200,
                    help="number of random triangulations in the corpus")
     p.add_argument("--limit", type=int, default=None,

@@ -14,10 +14,10 @@ the x_t are drawn over GF(2⁶¹−1) from a ``random.Random`` with a fixed
 seed, so every result is deterministic.
 
 Certainty.  Substituting numbers for the x_t can only lose rank, so
-rank/2 never exceeds β.  No cactus exceeds the ceiling either: every
-triangle merges three components of the candidate vertices into one, so
-a component of s vertices holds at most ⌊(s−1)/2⌋ triangles.  When
-rank/2 reaches that sum, the value is certain (``exhausted``).  Below
+rank/2 never exceeds β.  No cactus exceeds the ceiling either, the sum
+of ⌊(s−1)/2⌋ over the components of the candidates' edges with s
+vertices each (``cactus_ceiling``, cached per host as ``g.ceiling``).
+When rank/2 reaches it, the value is certain (``exhausted``).  Below
 it, the value is short only if the weights are a root of a nonzero
 Pfaffian minor of M, a polynomial of degree β in the x_t; for random
 weights that happens with probability at most β/p (Schwartz–Zippel).
@@ -51,7 +51,7 @@ from .errors import (
     CandidateGuardError,
     IdentityViolationError,
 )
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, cactus_ceiling
 from .unionfind import DisjointSet
 
 __all__ = [
@@ -76,7 +76,7 @@ Triple = tuple[int, int, int]
 @dataclass(frozen=True)
 class OracleResult:
     optimum: int  # rank / 2: never above beta
-    ceiling: int  # the sum of floor((s - 1) / 2) over candidate-vertex components
+    ceiling: int  # cactus_ceiling of the candidates
     exhausted: bool  # optimum reached the ceiling, so it is certainly beta
     nodes_explored: int  # rank evaluations
 
@@ -108,7 +108,7 @@ def _rank(rows: list[list[int]]) -> int:
 class _Parity:
     """The candidates' components, ceiling and weights, fixed once."""
 
-    def __init__(self, candidates: Sequence[Triple]):
+    def __init__(self, candidates: Sequence[Triple], ceiling: int):
         verts = sorted({v for t in candidates for v in t})
         index = {v: i for i, v in enumerate(verts)}
         uf = DisjointSet(len(verts))
@@ -117,15 +117,15 @@ class _Parity:
             uf.union(index[u], index[w])
         label = uf.labels()
         # Each vertex's row within its component's matrix; the root's
-        # coordinate is the one dropped, marked -1.
+        # coordinate is the one dropped, marked -1, so a component of s
+        # vertices has a matrix of size s - 1.
         row = [-1] * len(verts)
         self.dims: dict[int, int] = {}
         for i, root in enumerate(label):
             if i != root:
                 row[i] = self.dims.get(root, 0)
                 self.dims[root] = row[i] + 1
-        # A component of s vertices has a matrix of size s - 1.
-        self.ceiling = sum(d // 2 for d in self.dims.values())
+        self.ceiling = ceiling
         self.local = [
             (label[index[u]], row[index[u]], row[index[v]], row[index[w]])
             for u, v, w in candidates
@@ -195,21 +195,22 @@ def clique_candidates(
     return cands
 
 
-def _value(candidates: Sequence[Triple]) -> OracleResult:
-    parity = _Parity(candidates)
+def _value(candidates: Sequence[Triple], ceiling: int) -> OracleResult:
+    parity = _Parity(candidates, ceiling)
     return parity.result(parity.rank(range(len(candidates))), 1)
 
 
 def exact_beta_faces(g: PlaneGraph) -> OracleResult:
     """β over the triangular faces of g, from one rank evaluation."""
-    return _value(face_candidates(g))
+    return _value(face_candidates(g), g.ceiling)
 
 
 def exact_beta_all_triangles(
     graph: PlaneGraph | Mapping[int, Iterable[int]] | Iterable[tuple[int, int]],
 ) -> OracleResult:
     """β over all 3-cliques of an arbitrary graph (see clique_candidates)."""
-    return _value(clique_candidates(graph))
+    candidates = clique_candidates(graph)
+    return _value(candidates, cactus_ceiling(candidates))
 
 
 def max_cactus(
@@ -234,7 +235,7 @@ def max_cactus(
         raise CactusForgeError(f"--budget must be at least 1, got {budget}")
     if len(candidates) > CANDIDATE_GUARD and not allow_large:
         raise CandidateGuardError(len(candidates), CANDIDATE_GUARD)
-    parity = _Parity(candidates)
+    parity = _Parity(candidates, cactus_ceiling(candidates))
     full = parity.rank(range(len(candidates)))
     beta = full // 2
     evaluations = 1

@@ -334,10 +334,9 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     ceiling, so beta is certain), "parity" (below the ceiling, so beta is
     right with high probability) or "error" (the row failed before or
     inside the oracle), next to that ceiling.  certified_by says how the
-    verifier settled the 2-swap result: "ceiling" (it reached the
-    ceiling of ``TriangularCactus.at_ceiling``, so no scan ran),
-    "verifier" (it ran the move scan) or None (the row failed before the
-    verifier).
+    verifier settled the 2-swap result: "ceiling" (delta_2swap equals
+    that same ceiling, ``g.ceiling``, so no scan ran), "verifier" (it
+    ran the move scan) or None (the row failed before the verifier).
     """
     label = spec.label()
     failures: list[str] = []

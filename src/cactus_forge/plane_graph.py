@@ -34,11 +34,13 @@ from .errors import (
     ParallelEdgeError,
     TooFewVerticesError,
 )
+from .unionfind import DisjointSet
 
 __all__ = [
     "Face",
     "Triangle",
     "PlaneGraph",
+    "cactus_ceiling",
     "missing_edges_to_triangulation",
     "relabeled",
     "parse_instance",
@@ -55,14 +57,12 @@ class Face:
 
     boundary lists dart ids walk after walk; for ordinary faces there is a
     single walk, while the outer face of a disconnected drawing collects
-    one walk per component.  length counts darts on the boundary, so a
-    bridge contributes 2 to the length of its face.
+    one walk per component.
     """
 
     id: int
     boundary: tuple[int, ...]
     walks: tuple[tuple[int, ...], ...]
-    length: int
     is_outer: bool
     is_triangle: bool
     vertices: tuple[int, ...]
@@ -214,6 +214,7 @@ class PlaneGraph:
         "comp_count",
         "_dart_of",
         "_triangles",
+        "_ceiling",
     )
 
     def __init__(
@@ -268,7 +269,6 @@ class PlaneGraph:
                     id=0,
                     boundary=(),
                     walks=(),
-                    length=0,
                     is_outer=True,
                     is_triangle=False,
                     vertices=(),
@@ -320,7 +320,6 @@ class PlaneGraph:
                         id=fid,
                         boundary=tuple(boundary),
                         walks=tuple(walks[w] for w in walk_ids),
-                        length=len(boundary),
                         is_outer=is_outer,
                         is_triangle=is_triangle,
                         vertices=tuple(verts),
@@ -338,6 +337,7 @@ class PlaneGraph:
         self.edges = tuple(edges)
         self.edge_set = frozenset(edges)
         self._triangles: tuple[Triangle, ...] | None = None
+        self._ceiling: int | None = None
 
     # ------------------------------------------------------------------
     # plain accessors
@@ -385,6 +385,13 @@ class PlaneGraph:
             self._triangles = _collect_triangles(self)
         return self._triangles
 
+    @property
+    def ceiling(self) -> int:
+        """``cactus_ceiling`` of the candidate triangles, computed once."""
+        if self._ceiling is None:
+            self._ceiling = cactus_ceiling([t.vertices for t in self.triangles])
+        return self._ceiling
+
     def face_at(self, u: int, v: int) -> Face:
         """The face lying to the left of the dart u->v."""
         return self.faces[self.face_of_dart[self.dart_id(u, v)]]
@@ -426,6 +433,24 @@ def _collect_triangles(g: PlaneGraph) -> tuple[Triangle, ...]:
             )
         )
     return tuple(records)
+
+
+def cactus_ceiling(triples: Sequence[Sequence[int]]) -> int:
+    """No cactus of these triangles holds more of them.
+
+    Each triangle of a cactus merges three components of the graph the
+    triangles' edges form, so a component of s vertices holds at most
+    (s - 1) // 2 of them; the ceiling is the sum over the components.
+    """
+    index: dict[int, int] = {}
+    for t in triples:
+        for x in t:
+            index.setdefault(x, len(index))
+    uf = DisjointSet(len(index))
+    for u, v, w in triples:
+        uf.union(index[u], index[v])
+        uf.union(index[u], index[w])
+    return sum((uf.size[r] - 1) // 2 for r, p in enumerate(uf.parent) if r == p)
 
 
 def missing_edges_to_triangulation(g: PlaneGraph) -> int:

@@ -55,6 +55,14 @@ def double_ear():
 
 
 @pytest.fixture
+def triangle_with_tail():
+    # Triangle 0-1-2 with the path 2-3-4 hanging off corner 2.  Its one
+    # host component has 5 vertices, but only the triangle's 3 corners
+    # lie on a candidate, so no cactus holds more than 1 triangle.
+    return PlaneGraph(5, [[1, 2], [2, 0], [0, 1, 3], [2, 4], [3]], (1, 0))
+
+
+@pytest.fixture
 def bowtie():
     # Two triangles sharing vertex 3; vertex 0 is deliberately isolated.
     return PlaneGraph(

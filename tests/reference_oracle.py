@@ -10,15 +10,15 @@ by two upper bounds on what its subtree can still add:
 * the compatibility bound: the number of remaining candidates whose
   edges do not clash with the partial solution.
 
-It shares no code with ``cactus_forge.oracle`` beyond the union-find.
-It is exponential, so keep it to a few dozen candidates.
+Components are a plain label per vertex, relabelled on each inclusion;
+the labels before it are kept and restored when the search backs out.
+It shares no code with ``cactus_forge``.  It is exponential, so keep it
+to a few dozen candidates.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-from cactus_forge.unionfind import DisjointSet
 
 
 def _edges_of(triple):
@@ -35,7 +35,8 @@ def reference_beta(candidates) -> int:
 
     index = {v: i for i, v in enumerate(sorted(incidence))}
     local = [tuple(index[v] for v in t) for t in triples]
-    uf = DisjointSet(len(index))
+    label = list(range(len(index)))
+    saved: list[list[int]] = []  # the labels before each inclusion on the path
 
     used_edges: set[tuple[int, int]] = set()
     chosen = 0
@@ -52,8 +53,7 @@ def reference_beta(candidates) -> int:
             i = ~i
             chosen -= 1
             used_edges.difference_update(edge_lists[i])
-            uf.undo()  # an inclusion made exactly two unions
-            uf.undo()
+            label = saved.pop()
             comps += 2
             continue
         if chosen + (comps - 1) // 2 <= best:
@@ -66,10 +66,10 @@ def reference_beta(candidates) -> int:
         if chosen + compatible <= best or i == total:
             continue
         stack.append(i + 1)
-        ru, rv, rw = (uf.find(x) for x in local[i])
-        if ru != rv and rv != rw and ru != rw:
-            uf.union(ru, rv)
-            uf.union(ru, rw)
+        a, b, c = (label[x] for x in local[i])
+        if a != b and b != c and a != c:
+            saved.append(label)
+            label = [a if x == b or x == c else x for x in label]
             comps -= 2
             used_edges.update(edge_lists[i])
             chosen += 1

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from cactus_forge import TriangularCactus
-from cactus_forge.cactus import _as_triangle
 from cactus_forge.errors import TriangleNotInCactusError
 
 
@@ -30,15 +29,15 @@ class SplitComponents:
     parts: Mapping[int, frozenset[int]]
 
 
-def split_at(c: TriangularCactus, t) -> SplitComponents:
-    """Delete t's edges (keeping its corners) and report the three vertex
-    sets hanging off its corners."""
-    cand = _as_triangle(c.host, t)
-    if cand not in c:
-        raise TriangleNotInCactusError(f"triangle {cand.vertices} is not in the cactus")
+def split_at(c: TriangularCactus, tid: int) -> SplitComponents:
+    """Delete triangle tid's edges (keeping its corners) and report the
+    three vertex sets hanging off its corners."""
+    if tid not in c:
+        raise TriangleNotInCactusError(f"triangle {tid} is not in the cactus")
+    cand = c.host.triangles[tid]
     order, _, base, slices = c.tour()
-    (s, m), (_, e) = slices[cand.id]
-    # The component is the run of positions sharing t's root.
+    (s, m), (_, e) = slices[tid]
+    # The component is the run of positions sharing tid's root.
     r = base[s]
     end = bisect_right(base, r, s)
     parts: dict[int, frozenset[int]] = {}
@@ -50,7 +49,7 @@ def split_at(c: TriangularCactus, t) -> SplitComponents:
         else:
             parts[corner] = frozenset(order[r:s] + order[e:end])
     assert sum(len(p) for p in parts.values()) == end - r, "parts miss a vertex"
-    return SplitComponents(triangle=cand.id, parts=parts)
+    return SplitComponents(triangle=tid, parts=parts)
 
 
 def spanning_chords(c: TriangularCactus, tid: int, chords) -> dict:

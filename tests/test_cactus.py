@@ -29,12 +29,13 @@ def test_empty_cactus(k4):
     assert c.delta == 0
     assert len(c) == 0
     assert c.triangle_ids == ()
-    assert c.spanned_vertices() == frozenset()
+    assert c.components() == ((0,), (1,), (2,), (3,))
 
 
-def test_ceiling_counts_host_components(necklace):
+def test_ceiling_counts_candidate_components(necklace):
     # The isolated vertex 0 holds no triangle and the six others at most
     # (6 - 1) // 2 = 2, so the ceiling is 2 triangles, not (7 - 1) // 2 = 3.
+    assert necklace.ceiling == 2
     c = TriangularCactus(necklace, [0])
     assert not c.at_ceiling
     assert c.try_add_triangle(2)
@@ -53,10 +54,14 @@ def test_ceiling_is_summed_over_components(two_k4):
 def test_add_by_id_and_membership(k4):
     c = TriangularCactus(k4)
     assert c.try_add_triangle(0)
-    assert 0 in c
-    assert k4.triangles[0] in c
+    assert 0 in c and 1 not in c
     assert c.delta == 1
-    assert c.spanned_vertices() == {0, 1, 2}
+    assert c.component_of(0) == {0, 1, 2}
+    # Triangles are named by id only.
+    with pytest.raises(UnknownTriangleError):
+        k4.triangles[0] in c
+    with pytest.raises(UnknownTriangleError):
+        TriangularCactus(k4, [k4.triangles[0]])
 
 
 def test_k4_admits_only_one_triangle(k4):
@@ -148,6 +153,20 @@ def test_boolean_triangle_ids_are_rejected():
     c = TriangularCactus(octa)
     with pytest.raises(UnknownTriangleError):
         c.try_add_triangle(False)
+    with pytest.raises(UnknownTriangleError):
+        c.try_add_triangle(len(octa.triangles))
+    assert c.try_add_triangle(1)
+    with pytest.raises(UnknownTriangleError):
+        True in c
+    with pytest.raises(UnknownTriangleError):
+        c.remove_triangle(True)
+
+
+def test_from_triples_rejects_bool_vertices(k4):
+    # True == 1, so (0, True, 2) would name triangle (0, 1, 2).
+    assert k4.triangles[0].vertices == (0, 1, 2)
+    with pytest.raises(UnknownTriangleError):
+        cactus_from_triples(k4, [(0, True, 2)])
 
 
 def test_from_triples_rejects_repeat_and_conflict(k4, necklace):
@@ -188,8 +207,10 @@ def _bfs_split(c, tid):
     """Corner -> vertices reachable over cactus edges other than tid's."""
     tri = c.host.triangles[tid]
     adj = {}
-    for (u, v), owner in c.edge_owner.items():
-        if owner != tid:
+    for other in c.triangle_ids:
+        if other == tid:
+            continue
+        for u, v in c.host.triangles[other].edges:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
     parts = {}

@@ -24,6 +24,7 @@ from cactus_forge import (
 )
 from cactus_forge.cli import main
 from cactus_forge.local_search import SwapMove, _MoveScan, apply_move
+from cactus_forge.oracle import exact_beta_faces
 from cactus_forge.plane_graph import dump_instance
 from reference_subgraph import reembed
 
@@ -205,11 +206,14 @@ def test_pinned_search_runs(n, seed, t):
     assert scan.examined == final_scan
 
 
-def test_search_stops_at_the_ceiling(two_k4):
-    # Greedy takes one triangle per K4, which is the ceiling: no scan runs.
-    c, trace = local_search(two_k4)
-    assert (c.delta, c.at_ceiling) == (2, True)
-    assert trace.moves_examined == 0
+def test_search_stops_at_the_ceiling(two_k4, triangle_with_tail):
+    # Greedy takes one triangle per K4, and the one triangle of the tailed
+    # host, which is the ceiling: no scan runs.
+    for g, delta in ((two_k4, 2), (triangle_with_tail, 1)):
+        c, trace = local_search(g)
+        assert (c.delta, c.at_ceiling) == (delta, True)
+        assert c.delta == exact_beta_faces(g).ceiling
+        assert trace.moves_examined == 0
 
 
 def test_ceiling_results_pass_the_unpruned_verifier():
@@ -228,14 +232,16 @@ def test_ceiling_results_pass_the_unpruned_verifier():
     assert at_ceiling > len(specs) // 2
 
 
-def test_the_ceiling_certificate_runs_no_scan(monkeypatch, rmp16, octa, two_k4):
+def test_the_ceiling_certificate_runs_no_scan(
+    monkeypatch, rmp16, octa, two_k4, triangle_with_tail
+):
     def no_scan(*args):
         raise AssertionError("the verifier scanned a cactus at the ceiling")
 
     cacti = []
-    for g in (rmp16, octa, two_k4):
+    for g in (rmp16, octa, two_k4, triangle_with_tail):
         c, _ = local_search(g)
-        assert c.at_ceiling
+        assert c.at_ceiling and c.delta == exact_beta_faces(g).ceiling
         cacti.append((g, c))
     monkeypatch.setattr(sys.modules[_MoveScan.__module__], "_MoveScan", no_scan)
     for g, c in cacti:

@@ -1,6 +1,7 @@
 """β by matroid parity, checked against branch and bound and brute force."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -251,6 +252,27 @@ def test_edge_deleted_rows_below_the_ceiling_match_branch_and_bound():
         assert_matches_reference(res, expected)
         below += expected < res.ceiling
     assert below >= 15  # 19 of the 100 rows
+
+
+def test_host_and_oracle_read_one_ceiling():
+    # Deleting edges leaves vertices and ears on no candidate triangle, so
+    # a count over host components would sit above the oracle's on these
+    # rows.  The host's cached ceiling is the oracle's, and a 2-swap
+    # optimum is at the ceiling exactly when it reaches the oracle's: 12
+    # rows do, 11 of them below the host-component count.
+    host_count_above = reaches = 0
+    for n in (24, 40, 64):
+        for seed in range(15):
+            rng = random.Random(seed)
+            g = edge_deleted(n, seed, lambda edges: [e for e in edges if rng.random() < 0.3])
+            res = exact_beta_faces(g)
+            assert g.ceiling == res.ceiling
+            sizes = Counter(g.comp_of_vertex).values()
+            host_count_above += sum((s - 1) // 2 for s in sizes) > res.ceiling
+            c, _ = local_search(g)
+            assert c.at_ceiling == (c.delta == res.ceiling)
+            reaches += c.at_ceiling
+    assert (host_count_above, reaches) == (44, 12)
 
 
 @pytest.fixture(scope="module")

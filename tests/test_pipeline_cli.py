@@ -659,3 +659,14 @@ class TestCli:
             main(["generate", "--family", "hypercube"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_flag_prefixes_are_usage_errors(self, tmp_path, capsys):
+        # `--t` would otherwise expand to bench's `--threads`.
+        csv_path = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--t", "1", "--limit", "0", "--csv", str(csv_path)])
+        assert exc.value.code == 2
+        assert "--t" in capsys.readouterr().err
+        assert not csv_path.exists()
+        assert main(["bench", "--threads", "1", "--limit", "0", "--csv", str(csv_path)]) == 0
+        assert csv_path.exists()

@@ -54,42 +54,30 @@ def _union_sequences(draw):
     return n, pairs
 
 
-@given(_union_sequences(), st.data())
-def test_unions_match_bfs_and_undo_restores_each_state(case, data):
+@given(_union_sequences())
+def test_unions_match_bfs(case):
     n, pairs = case
     uf = DisjointSet(n)
-
-    def state():
-        return list(uf.parent), list(uf.size), uf.labels()
-
-    after = [state()]  # after[j]: the state after j successful unions
     count = n
     for i, (a, b) in enumerate(pairs):
         comp, new_count = _bfs_components(n, pairs[: i + 1])
         assert uf.union(a, b) == (new_count < count)
         count = new_count
         assert _same_partition(uf.labels(), comp)
-        if len(uf.trail) == len(after):
-            after.append(state())
-    assert len(uf.trail) == len(after) - 1 == n - count
     # Union by size alone keeps every tree at most log2(n) deep.
     assert max(_depth(uf, x) for x in range(n)) <= n.bit_length() - 1
-    # Any number of undos brings back the state before those unions.
-    k = data.draw(st.integers(0, len(uf.trail)))
-    for _ in range(k):
-        uf.undo()
-    assert state() == after[len(after) - 1 - k]
 
 
-def test_trail_never_exceeds_n_minus_one():
+def test_unions_succeed_n_minus_one_times():
     n = 17
     uf = DisjointSet(n)
+    merged = 0
     for a in range(n):
         for b in range(n):
-            uf.union(a, b)
-            assert len(uf.trail) <= n - 1
-    assert len(uf.trail) == n - 1
+            merged += uf.union(a, b)
+    assert merged == n - 1
     assert len(set(uf.labels())) == 1
+    assert uf.size[uf.find(0)] == n
 
 
 def test_copy_is_independent():
@@ -97,7 +85,8 @@ def test_copy_is_independent():
     uf.union(0, 1)
     dup = uf.copy()
     dup.union(2, 3)
-    dup.undo()
-    dup.undo()
-    assert uf.labels()[0] == uf.labels()[1]
-    assert len(set(dup.labels())) == 4
+    dup.union(0, 2)
+    assert len(set(dup.labels())) == 1
+    labels = uf.labels()
+    assert labels[0] == labels[1] and len(set(labels)) == 3
+    assert uf.size[uf.find(0)] == 2

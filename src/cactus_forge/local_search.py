@@ -64,7 +64,8 @@ class SwapMove:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """t: swap size (1 or 2).  seed: greedy shuffle seed.
+    """t: swap size (1 or 2).  seed: greedy shuffle seed, unused when
+    ``local_search`` is given a start cactus.
 
     The search needs no cap on applied moves: each raises the triangle
     count by exactly one, and it stops at the ceiling of
@@ -183,11 +184,21 @@ class _MoveScan:
         self.examined += end - cursor
 
 
+def _swap_size(t: int) -> int:
+    """t itself when it is a swap size the scan enumerates: 0, 1 or 2."""
+    # bool is an int subclass, so True would otherwise mean t = 1.
+    if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t <= 2:
+        raise ValueError(f"swap size must be 0, 1 or 2, got {t!r}")
+    return t
+
+
 def find_improving_swap(
     g: PlaneGraph, c: TriangularCactus, t: int = 2
 ) -> SwapMove | None:
-    """Lexicographically first improving move, or None at a local optimum."""
-    return next(_MoveScan(g, c).moves(t), None)
+    """Lexicographically first improving move, or None at a local optimum.
+
+    A t outside {0, 1, 2} raises ``ValueError``."""
+    return next(_MoveScan(g, c).moves(_swap_size(t)), None)
 
 
 def verify_local_optimality(
@@ -198,7 +209,9 @@ def verify_local_optimality(
 
     A cactus at the ceiling of ``TriangularCactus.at_ceiling`` is a
     maximum cactus, so no move can improve it and no scan runs; below
-    the ceiling the verifier runs the search's move scan."""
+    the ceiling the verifier runs the search's move scan.  A t outside
+    {0, 1, 2} raises ``ValueError``, at the ceiling too."""
+    _swap_size(t)
     if c.at_ceiling:
         return True, None
     move = find_improving_swap(g, c, t)
@@ -217,14 +230,26 @@ def apply_move(c: TriangularCactus, move: SwapMove) -> None:
 
 
 def local_search(
-    g: PlaneGraph, cfg: SearchConfig = SearchConfig()
+    g: PlaneGraph,
+    cfg: SearchConfig = SearchConfig(),
+    start: TriangularCactus | None = None,
 ) -> tuple[TriangularCactus, SearchTrace]:
-    """Run greedy initialization then repeated t-swaps to a local optimum."""
+    """Apply t-swaps to a local optimum, from the greedy cactus of cfg.seed
+    or from a copy of start.
+
+    start is left unchanged and must be a cactus of g itself, not of an
+    equal graph.  Resuming from a 1-swap optimum gives the same 2-swap
+    optimum as a search from its greedy cactus: the scan tries () and
+    single removals before any pair, so a 2-swap run applies the 1-swap
+    run's moves until its first pair move.  The trace then covers only
+    the moves after start."""
     if cfg.t not in (1, 2):
         raise ValueError(f"swap size must be 1 or 2, got {cfg.t}")
+    if start is not None and start.host is not g:
+        raise ValueError("the start cactus belongs to another host graph")
 
-    start = time.perf_counter()
-    c = greedy_initial(g, cfg.seed)
+    began = time.perf_counter()
+    c = greedy_initial(g, cfg.seed) if start is None else start.copy()
     initial = c.delta
     applied: list[SwapMove] = []
     examined = 0
@@ -242,7 +267,7 @@ def local_search(
         final_delta=c.delta,
         moves_applied=tuple(applied),
         moves_examined=examined,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=time.perf_counter() - began,
     )
     if trace.final_delta != trace.initial_delta + len(applied):
         raise IdentityViolationError("triangle count drifted from the applied moves")

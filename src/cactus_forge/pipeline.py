@@ -7,8 +7,9 @@ The triangle pipeline (mpt) outputs the cactus itself and recounts its
 triangular faces off the input drawing, confirming the count equals delta.
 
 verify_corpus sweeps a corpus of generator specs, solving each instance
-at three strengths (greedy, 1-swap, 2-swap), analyzing the 2-swap result,
-and taking beta from the parity oracle on every row.  Rows are
+at three strengths in one chain (greedy, then 1-swaps from it, then
+2-swaps from the 1-swap optimum), analyzing the 2-swap result, and
+taking beta from the parity oracle on every row.  Rows are
 computed concurrently but reduced in corpus order, and wall-clock numbers
 are confined to the JSON sidecar, so the CSV is byte-identical across
 runs with the same corpus and config.
@@ -327,6 +328,14 @@ def _strict_misses(label: str, report: CactusReport) -> list[str]:
 def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     """Solve one instance at all three strengths and grade the result.
 
+    Greedy runs once; the 1-swap search starts from its cactus and the
+    2-swap search from the 1-swap optimum, which gives the 2-swap optimum
+    a search from greedy would (``local_search``).  The sidecar's search
+    entry holds both searches' ``moves_examined`` and applied move
+    counts, so ls2_examined and ls2_moves cover only the 2-swap search
+    from the 1-swap optimum; it is null when the row failed before both
+    searches finished.
+
     Never raises: every error becomes a failure string on the row, and
     its traceback goes to the sidecar, so a broken instance cannot take
     down the sweep.  The sidecar also records how sure beta is:
@@ -342,6 +351,7 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     failures: list[str] = []
     sidecar: dict = {
         "instance": label, "oracle_status": "error", "ceiling": None, "certified_by": None,
+        "search": None,
     }
     try:
         g = build(spec)
@@ -362,17 +372,24 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     t_greedy = t_ls1 = t_ls2 = t_analyze = t_verify = t_oracle = 0.0
     try:
         start = time.perf_counter()
-        d_greedy = len(greedy_initial(g, cfg.seed))
+        c0 = greedy_initial(g, cfg.seed)
+        d_greedy = len(c0)
         greedy_at = time.perf_counter()
-        c1, _ = local_search(g, SearchConfig(t=1, seed=cfg.seed))
+        c1, trace1 = local_search(g, SearchConfig(t=1), start=c0)
         d1 = len(c1)
         ls1_at = time.perf_counter()
-        c2, _ = local_search(g, SearchConfig(t=2, seed=cfg.seed))
+        c2, trace2 = local_search(g, SearchConfig(t=2), start=c1)
         d2 = len(c2)
         ls2_at = time.perf_counter()
         t_greedy = greedy_at - start
         t_ls1 = ls1_at - greedy_at
         t_ls2 = ls2_at - ls1_at
+        sidecar["search"] = {
+            "ls1_examined": trace1.moves_examined,
+            "ls1_moves": len(trace1.moves_applied),
+            "ls2_examined": trace2.moves_examined,
+            "ls2_moves": len(trace2.moves_applied),
+        }
 
         slack = 6 * d2 - g.f3_internal
         if slack < 0:

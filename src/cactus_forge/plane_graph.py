@@ -404,32 +404,25 @@ class PlaneGraph:
 
 
 def _collect_triangles(g: PlaneGraph) -> tuple[Triangle, ...]:
-    by_edges: dict[tuple, list[int]] = {}
+    # In a simple graph three vertices fix the three edges, so the sorted
+    # vertex triple keys a candidate; faces come in id order, so each
+    # list of face ids is already sorted.
+    by_vertices: dict[tuple[int, ...], list[int]] = {}
     for f in g.faces:
-        if not f.is_triangle:
-            continue
-        key = tuple(
-            sorted(
-                tuple(sorted((g.tail[d], g.head[d]))) for d in f.boundary
-            )
-        )
-        by_edges.setdefault(key, []).append(f.id)
+        if f.is_triangle:
+            by_vertices.setdefault(f.vertices, []).append(f.id)
 
-    # Sorting the edge triples also sorts the vertex triples: the triple
-    # (a, b), (a, c), (b, c) with a < b < c compares by (a, b, c) first.
     records = []
-    for tid, key in enumerate(sorted(by_edges)):
-        face_ids = tuple(sorted(by_edges[key]))
-        verts = tuple(sorted({v for e in key for v in e}))
+    for tid, (a, b, c) in enumerate(sorted(by_vertices)):
+        face_ids = tuple(by_vertices[a, b, c])
         bounded = [fid for fid in face_ids if fid != g.outer_face_id]
-        face_id = bounded[0] if len(bounded) == 1 else min(face_ids)
         records.append(
             Triangle(
                 id=tid,
-                vertices=verts,
-                edges=key,
+                vertices=(a, b, c),
+                edges=((a, b), (a, c), (b, c)),
                 face_ids=face_ids,
-                face_id=face_id,
+                face_id=bounded[0] if len(bounded) == 1 else face_ids[0],
             )
         )
     return tuple(records)

@@ -11,6 +11,7 @@ handmade all-heavy optima from conftest carry the grading criteria;
 the corpus scan still sweeps every component in case one shows up.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -26,9 +27,14 @@ from cactus_forge import (
     verify_corpus,
 )
 from cactus_forge.oracle import CANDIDATE_GUARD
+from cactus_forge.pipeline import write_csv
 from reference_oracle import reference_beta
 
 CORPUS = acceptance_corpus()
+
+# sha256 of the default corpus's CSV; a change that moves any cell of it
+# must say so and re-pin this.
+ACCEPTANCE_CSV_SHA256 = "4f7e43b034f21d97795d3df71b8450cfee2d726380f5d2c8ab8a47af82f39ced"
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,18 @@ def test_criterion_2_oracle_dominance(corpus_run):
         f"{len(res.rows) - len(missing)} instances oracle-checked "
         f"({certain} at the ceiling), {len(missing)} without beta, "
         f"{len(bad)} violations",
+    )
+
+
+def test_acceptance_csv_is_pinned(corpus_run, tmp_path):
+    res, _ = corpus_run
+    path = tmp_path / "acceptance.csv"
+    write_csv(res.rows, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    emit(
+        "acceptance CSV is byte-identical",
+        digest == ACCEPTANCE_CSV_SHA256,
+        f"{len(res.rows)} rows, sha256 {digest[:16]}",
     )
 
 

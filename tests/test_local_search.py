@@ -261,6 +261,56 @@ def test_below_the_ceiling_the_verifier_returns_the_scan_witness(rmp16):
     assert exc.value.witness == move
 
 
+def test_swap_sizes_the_scan_does_not_enumerate_are_rejected(rmp16):
+    # This 2-swap optimum ends one triangle short of the ceiling; rmp16's
+    # ends at it, where the verifier would otherwise answer unscanned.
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=33, seed=90))
+    below, _ = local_search(g)
+    at, _ = local_search(rmp16)
+    assert (below.delta, g.ceiling, at.at_ceiling) == (15, 16, True)
+    for host, c in ((g, below), (rmp16, at)):
+        for t in (3, 99, -1, True, False, 2.0, None):
+            with pytest.raises(ValueError):
+                verify_local_optimality(host, c, t)
+            with pytest.raises(ValueError):
+                find_improving_swap(host, c, t)
+        for t in (0, 1, 2):
+            assert verify_local_optimality(host, c, t) == (True, None)
+
+
+def test_chained_searches_match_the_search_from_greedy():
+    # The 1-swap optimum is a waypoint of the 2-swap run from greedy: a
+    # 2-swap search resumed there ends on the same cactus, through the
+    # moves the run from greedy applies after the 1-swap ones.
+    for spec in acceptance_corpus():
+        g = build_instance(spec)
+        c0 = greedy_initial(g)
+        c1, trace1 = local_search(g, SearchConfig(t=1), start=c0)
+        before = (c1.triangle_ids, c1.labels())
+        c2, trace2 = local_search(g, SearchConfig(t=2), start=c1)
+        whole, whole_trace = local_search(g, SearchConfig(t=2))
+        label = spec.label()
+        assert c2.triangle_ids == whole.triangle_ids, label
+        k = len(trace1.moves_applied)
+        assert whole_trace.moves_applied[:k] == trace1.moves_applied, label
+        assert whole_trace.moves_applied[k:] == trace2.moves_applied, label
+        assert trace1.initial_delta == c0.delta == greedy_initial(g).delta
+        assert trace2.initial_delta == c1.delta
+        assert (c1.triangle_ids, c1.labels()) == before, label
+        assert c0.triangle_ids == greedy_initial(g).triangle_ids, label
+
+
+def test_a_start_from_another_host_is_rejected(rmp16, octa):
+    with pytest.raises(ValueError):
+        local_search(rmp16, start=greedy_initial(octa))
+    # An equal host built again is still another graph.
+    twin = build_instance(GeneratorSpec("random_maximal_planar", n=16, seed=5))
+    with pytest.raises(ValueError):
+        local_search(rmp16, start=greedy_initial(twin))
+    c, trace = local_search(rmp16, start=greedy_initial(rmp16))
+    assert (c.delta, trace.initial_delta) == (7, 6)
+
+
 class _ReferenceScan:
     """The per-position move walk the narrowing scan replaced, kept as an
     independent reference: one union-find per stage, and at each level a

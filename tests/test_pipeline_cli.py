@@ -21,6 +21,7 @@ from cactus_forge import (
     SearchConfig,
     acceptance_corpus,
     build_instance,
+    local_search,
     mps_pipeline,
     mpt_pipeline,
     verify_corpus,
@@ -373,14 +374,36 @@ class TestCorpusHarness:
             # last decimal.
             assert abs(sum(parts) - wall["solve_s"]) <= 2e-6
 
+    def test_sidecar_counts_both_searches(self):
+        # The 2-swap counts cover only the search from the 1-swap optimum:
+        # nothing where that optimum is at the ceiling, and otherwise the
+        # moves a search from greedy applies after the 1-swap ones, which
+        # on rmp n48 s3 hold a pair move.
+        specs = list(acceptance_corpus(rmp_count=4)[:4])
+        specs.append(GeneratorSpec("random_maximal_planar", n=48, seed=3))
+        res = verify_corpus(specs)
+        for spec, row, side in zip(specs, res.rows, res.reports):
+            g = build_instance(spec)
+            _, trace1 = local_search(g, SearchConfig(t=1))
+            _, whole = local_search(g, SearchConfig(t=2))
+            k = len(trace1.moves_applied)
+            assert side["search"]["ls1_examined"] == trace1.moves_examined
+            assert side["search"]["ls1_moves"] == k
+            assert side["search"]["ls2_moves"] == len(whole.moves_applied) - k
+            if row.delta_1swap == side["ceiling"]:
+                assert side["search"]["ls2_examined"] == 0
+            else:
+                assert side["search"]["ls2_examined"] > 0
+        assert res.reports[-1]["search"]["ls2_moves"] > 0
+
     def test_verifier_failure_keeps_its_row_text(self, monkeypatch):
         # Hand the harness a greedy cactus as the 2-swap result on a row
         # where greedy is not 2-swap optimal.
         spec = GeneratorSpec("random_maximal_planar", n=20, seed=4)
         search = pipeline.local_search
 
-        def weak(g, cfg):
-            c, trace = search(g, cfg)
+        def weak(g, cfg, start=None):
+            c, trace = search(g, cfg, start=start)
             return (pipeline.greedy_initial(g, cfg.seed) if cfg.t == 2 else c), trace
 
         monkeypatch.setattr(pipeline, "local_search", weak)
@@ -428,7 +451,7 @@ class TestCorpusHarness:
         assert (small["ceiling"], large["ceiling"]) == (4, 14)
         assert [r.beta_faces for r in res.rows[:2]] == [4, 14]
         assert error["oracle_status"] == "error" and error["ceiling"] is None
-        assert error["certified_by"] is None
+        assert error["certified_by"] is None and error["search"] is None
         assert res.rows[2].beta_faces is None
         assert "oracle_nodes" not in small
 

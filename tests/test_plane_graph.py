@@ -1,13 +1,17 @@
 """Rotation-system plane graphs: faces, triangles, subgraphs, validation."""
 
 import json
+import random
 
 import pytest
 
 from cactus_forge import (
+    GeneratorSpec,
     InstanceFormatError,
     PlaneGraph,
     load_instance,
+    acceptance_corpus,
+    build_instance,
     missing_edges_to_triangulation,
     relabeled,
 )
@@ -22,6 +26,7 @@ from cactus_forge.errors import (
 )
 from cactus_forge.plane_graph import dump_instance, instance_to_dict
 from reference_subgraph import reembed
+from reference_triangles import collect_triangles
 
 
 def euler_count(g):
@@ -140,6 +145,46 @@ class TestSubgraphs:
         assert sub.edge_count == 5
         assert len(sub.faces) == len(regions) == 3
         assert max(len(r.host_faces) for r in regions) == 2
+
+
+class TestTriangleTable:
+    # The vertex-keyed table against the edge-keyed reference.
+    def test_acceptance_hosts(self):
+        for spec in acceptance_corpus():
+            g = build_instance(spec)
+            assert g.triangles == collect_triangles(g), spec.label()
+
+    def test_edge_deleted_hosts(self):
+        # 4 sizes x 30 seeds x 3 drop rates: 360 hosts.
+        for n in (8, 16, 32, 64):
+            for seed in range(30):
+                host = build_instance(
+                    GeneratorSpec("random_maximal_planar", n=n, seed=seed)
+                )
+                for p in (0.15, 0.3, 0.5):
+                    rng = random.Random(seed)
+                    kept = {e for e in sorted(host.edge_set) if rng.random() >= p}
+                    g = reembed(host, kept)[0]
+                    assert g.triangles == collect_triangles(g), (n, seed, p)
+
+    def test_handmade_hosts(
+        self, k4, two_k4, double_ear, triangle_with_tail, bowtie, necklace, prism9
+    ):
+        for g in (k4, two_k4, double_ear, triangle_with_tail, bowtie, necklace, prism9):
+            assert g.triangles == collect_triangles(g)
+
+    def test_lone_three_cycle_is_one_candidate(self, triangle):
+        # Both faces of a lone 3-cycle are triangles with the same edges;
+        # they collapse into one candidate named by the bounded face,
+        # whichever of the two ids the outer face holds.
+        flipped = PlaneGraph(3, triangle.rotations, (0, 1))
+        for g, bounded in ((triangle, 0), (flipped, 1)):
+            (t,) = g.triangles
+            assert g.triangles == collect_triangles(g)
+            assert t.vertices == (0, 1, 2)
+            assert t.edges == ((0, 1), (0, 2), (1, 2))
+            assert t.face_ids == (0, 1)
+            assert t.face_id == bounded != g.outer_face_id
 
 
 class TestTriangulationDeficit:

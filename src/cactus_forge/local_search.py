@@ -243,8 +243,8 @@ def local_search(
     single removals before any pair, so a 2-swap run applies the 1-swap
     run's moves until its first pair move.  The trace then covers only
     the moves after start."""
-    if cfg.t not in (1, 2):
-        raise ValueError(f"swap size must be 1 or 2, got {cfg.t}")
+    if _swap_size(cfg.t) == 0:
+        raise ValueError(f"swap size must be 1 or 2, got {cfg.t!r}")
     if start is not None and start.host is not g:
         raise ValueError("the start cactus belongs to another host graph")
 

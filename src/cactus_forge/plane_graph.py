@@ -20,8 +20,9 @@ host: deleting an edge merges the two host faces on its sides.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, compress, repeat
+from operator import eq, lt
+from typing import NamedTuple, Sequence
 
 from .errors import (
     AsymmetricAdjacencyError,
@@ -51,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of the embedding.
 
     boundary lists dart ids walk after walk; for ordinary faces there is a
@@ -68,8 +68,7 @@ class Face:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """A candidate triangle: an edge triple bounding at least one triangular face.
 
     A standalone 3-cycle bounds two triangular faces with the same edges;
@@ -84,16 +83,20 @@ class Triangle:
     face_id: int
 
 
-def _darts(
-    n: int, rotations: tuple[tuple[int, ...], ...]
-) -> tuple[dict[tuple[int, int], int], list[int], list[int], list[int]]:
-    """Dart ids of a rotation system: (dart_of, tail, head, twin).
+def _check_entries(rotations: Sequence[Sequence[object]]) -> None:
+    """Raise on the first rotation entry that is not an int (bool included),
+    vertex by vertex and entry by entry."""
+    for u, nbrs in enumerate(rotations):
+        for v in nbrs:
+            if type(v) is not int:
+                raise InstanceFormatError(
+                    f"rotation of vertex {u} holds a non-integer entry {v!r}"
+                )
 
-    Darts are numbered by tail, then in the tail's rotation order.
-    """
-    dart_of: dict[tuple[int, int], int] = {}
-    tail: list[int] = []
-    head: list[int] = []
+
+def _check_rotations(n: int, rotations: tuple[tuple[int, ...], ...]) -> None:
+    """Raise on the first loop, out-of-range entry or repeated neighbor,
+    vertex by vertex and entry by entry."""
     for u, nbrs in enumerate(rotations):
         seen: set[int] = set()
         for v in nbrs:
@@ -106,49 +109,35 @@ def _darts(
             if v in seen:
                 raise ParallelEdgeError(u, v)
             seen.add(v)
-            dart_of[(u, v)] = len(tail)
-            tail.append(u)
-            head.append(v)
-
-    twin = [0] * len(tail)
-    for d in range(len(tail)):
-        t = dart_of.get((head[d], tail[d]))
-        if t is None:
-            raise AsymmetricAdjacencyError(tail[d], head[d])
-        twin[d] = t
-    return dart_of, tail, head, twin
 
 
-def _face_walks(
-    rotations: tuple[tuple[int, ...], ...],
-    dart_of: dict[tuple[int, int], int],
-    twin: list[int],
-) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-    """Face successors and the face walks: (face_next, walks, walk_of_dart)."""
-    prv = [0] * len(twin)
-    for u, nbrs in enumerate(rotations):
-        for i, v in enumerate(nbrs):
-            prv[dart_of[(u, v)]] = dart_of[(u, nbrs[i - 1])]
-
-    # Successor along the face: at the head of d, turn to the rotation
-    # predecessor of the reverse dart.  Keeps the face on the left.
-    face_next = [prv[t] for t in twin]
-
-    walk_of_dart = [-1] * len(twin)
+def _face_walks(face_next: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The orbits of face_next from each smallest unvisited dart:
+    (walks, walk_of_dart)."""
+    walk_of_dart = [-1] * len(face_next)
     walks: list[tuple[int, ...]] = []
-    for d0 in range(len(twin)):
+    for d0 in range(len(face_next)):
         if walk_of_dart[d0] >= 0:
             continue
-        walk: list[int] = []
-        d = d0
+        w = len(walks)
+        d1 = face_next[d0]
+        d2 = face_next[d1]
+        if face_next[d2] == d0:
+            # Most faces are triangles: take them without a loop.
+            walk_of_dart[d0] = walk_of_dart[d1] = walk_of_dart[d2] = w
+            walks.append((d0, d1, d2))
+            continue
+        walk = [d0]
+        walk_of_dart[d0] = w
+        d = d1
         while walk_of_dart[d] < 0:
-            walk_of_dart[d] = len(walks)
+            walk_of_dart[d] = w
             walk.append(d)
             d = face_next[d]
         if d != d0:
             raise IdentityViolationError("face walk did not close at its start")
         walks.append(tuple(walk))
-    return face_next, walks, walk_of_dart
+    return walks, walk_of_dart
 
 
 def _components(rotations: tuple[tuple[int, ...], ...]) -> tuple[list[int], int]:
@@ -170,19 +159,35 @@ def _components(rotations: tuple[tuple[int, ...], ...]) -> tuple[list[int], int]
     return comp_of_vertex, comp_count
 
 
-def _side_by_side_groups(walk_comp: list[int], outer_walk: int) -> list[list[int]]:
-    """Side-by-side grouping of walks, given each walk's component: the
-    outer walk plus the first-discovered walk of every other component
-    form the outer region; all remaining walks stand alone."""
+def _outer_walks(walk_comp: list[int], outer_walk: int) -> list[int]:
+    """The walks of the outer region, sorted, given each walk's component:
+    the outer walk plus the first-discovered walk of every other
+    component.  Every other walk is a face of its own."""
     merged = {outer_walk}
     seen = {walk_comp[outer_walk]}
     for w, comp in enumerate(walk_comp):
         if comp not in seen:
             merged.add(w)
             seen.add(comp)
-    groups = [sorted(merged)]
-    groups.extend([w] for w in range(len(walk_comp)) if w not in merged)
-    return groups
+    return sorted(merged)
+
+
+def _face(
+    fid: int, group: tuple[tuple[int, ...], ...], is_outer: bool, tail: tuple[int, ...]
+) -> Face:
+    """Face fid, bounded by the walks in group."""
+    if len(group) == 1 and len(group[0]) == 3:
+        walk = group[0]
+        a, b, c = sorted((tail[walk[0]], tail[walk[1]], tail[walk[2]]))
+        if a == b or b == c:
+            raise IdentityViolationError(
+                "length-3 face walk without 3 distinct vertices"
+            )
+        return Face(fid, walk, group, is_outer, True, (a, b, c))
+    # A single walk is its own boundary.
+    boundary = group[0] if len(group) == 1 else tuple(chain.from_iterable(group))
+    verts = tuple(sorted(set(map(tail.__getitem__, boundary))))
+    return Face(fid, boundary, group, is_outer, False, verts)
 
 
 class PlaneGraph:
@@ -191,8 +196,11 @@ class PlaneGraph:
     Construct with ``PlaneGraph(n, rotations, outer)`` where rotations are
     counterclockwise neighbor lists and ``outer`` is an ``(u, v)`` pair
     naming a dart on the outer face (``None`` only for edgeless graphs).
-    All derived tables (faces, edge list, triangle candidates) are built
-    eagerly and never change, so instances are safe to share.
+    Rotation entries and the ends of ``outer`` must be ints; a bool is
+    not one.  The dart, face and edge tables are built by the constructor;
+    the triangle candidates and their ceiling are built on first read,
+    once per graph.  None of them changes after, so instances are safe to
+    share.
     """
 
     __slots__ = (
@@ -225,20 +233,58 @@ class PlaneGraph:
     ):
         if n < 0:
             raise InstanceFormatError(f"vertex count must be nonnegative, got {n}")
+        rotations = tuple(map(tuple, rotations))
+        # Faults are reported in the instance format's order: entry types,
+        # the outer dart's types, the list count, then entry by entry.
+        # Each check runs on whole tables and falls back to the ordered
+        # per-entry check only when it flags something.
+        head = tuple(chain.from_iterable(rotations))
+        if not set(map(type, head)) <= {int}:
+            _check_entries(rotations)
+        if (
+            isinstance(outer, (tuple, list))
+            and len(outer) == 2
+            and set(map(type, outer)) != {int}
+        ):
+            raise InstanceFormatError(f'"outer" must be [u, v] or null, got {outer!r}')
         if len(rotations) != n:
             raise InstanceFormatError(
                 f"expected {n} rotation lists, got {len(rotations)}"
             )
-        rotations = tuple(tuple(nbrs) for nbrs in rotations)
-        dart_of, tail, head, twin = _darts(n, rotations)
-        face_next, walks, walk_of_dart = _face_walks(rotations, dart_of, twin)
+        if head and not (0 <= min(head) and max(head) < n):
+            _check_rotations(n, rotations)
+
+        # Darts are numbered by tail, then in the tail's rotation order, so
+        # the darts of u hold the ids start..start + deg(u) - 1.
+        degree = list(map(len, rotations))
+        tail = tuple(chain.from_iterable(map(repeat, range(len(degree)), degree)))
+        dart_count = len(tail)
+        dart_of = dict(zip(zip(tail, head), range(dart_count)))
+        if len(dart_of) != dart_count or any(map(eq, tail, head)):
+            _check_rotations(n, rotations)
+        twin = tuple(map(dart_of.get, zip(head, tail)))
+        if None in twin:
+            d = twin.index(None)
+            raise AsymmetricAdjacencyError(tail[d], head[d])
+
+        # Successor along the face: at the head of d, turn to the rotation
+        # predecessor of the reverse dart.  Keeps the face on the left.
+        prv: list[int] = []
+        start = 0
+        for k in degree:
+            if k:
+                prv.append(start + k - 1)
+                prv.extend(range(start, start + k - 1))
+            start += k
+        face_next = tuple(map(prv.__getitem__, twin))
+        walks, walk_of_dart = _face_walks(face_next)
         comp_of_vertex, comp_count = _components(rotations)
 
         # Genus-0 check in counting form: each of the c components drawn in
         # the plane satisfies Euler's formula, and merging them side by side
         # into one drawing leaves n - |E| + W + isolated = 2c.
-        edge_count = len(tail) // 2
-        isolated_count = sum(1 for nbrs in rotations if not nbrs)
+        edge_count = dart_count // 2
+        isolated_count = degree.count(0)
         if n - edge_count + len(walks) + isolated_count != 2 * comp_count:
             raise NonPlanarEmbeddingError(
                 f"n={n}, |E|={edge_count}, walks={len(walks)}, "
@@ -247,33 +293,24 @@ class PlaneGraph:
 
         self.n = n
         self.rotations = rotations
-        self.tail = tuple(tail)
-        self.head = tuple(head)
-        self.twin = tuple(twin)
-        self.face_next = tuple(face_next)
+        self.tail = tail
+        self.head = head
+        self.twin = twin
+        self.face_next = face_next
         self._dart_of = dart_of
-        self.dart_count = len(tail)
+        self.dart_count = dart_count
         self.edge_count = edge_count
         self.comp_of_vertex = tuple(comp_of_vertex)
         self.comp_count = comp_count
 
-        if self.dart_count == 0:
+        if dart_count == 0:
             if outer is not None:
                 raise BadOuterDesignatorError(
                     "graph has no edges, so no dart can designate the outer face"
                 )
             self.outer_dart = None
             self.outer_face_id = 0
-            self.faces = (
-                Face(
-                    id=0,
-                    boundary=(),
-                    walks=(),
-                    is_outer=True,
-                    is_triangle=False,
-                    vertices=(),
-                ),
-            )
+            self.faces = (Face(0, (), (), True, False, ()),)
             self.face_of_dart = ()
         else:
             if outer is None:
@@ -291,51 +328,39 @@ class PlaneGraph:
                 raise BadOuterDesignatorError(f"{ou}->{ov} is not a dart of the graph")
             self.outer_dart = od
 
+            # One walk is one face, except that the outer face of a drawing
+            # with several components holds one walk of each.  Faces are
+            # numbered by their smallest walk.
             outer_walk = walk_of_dart[od]
-            groups = _side_by_side_groups(
-                [comp_of_vertex[tail[w[0]]] for w in walks], outer_walk
-            )
-            groups.sort(key=lambda g: g[0])
-
-            faces = []
-            face_of_dart = [-1] * self.dart_count
-            outer_face_id = -1
-            for fid, walk_ids in enumerate(groups):
-                boundary: list[int] = []
-                for w in walk_ids:
-                    boundary.extend(walks[w])
-                for d in boundary:
-                    face_of_dart[d] = fid
-                verts = sorted({tail[d] for d in boundary})
-                is_outer = outer_walk in walk_ids
-                if is_outer:
-                    outer_face_id = fid
-                is_triangle = len(walk_ids) == 1 and len(boundary) == 3
-                if is_triangle and len(verts) != 3:
-                    raise IdentityViolationError(
-                        "length-3 face walk without 3 distinct vertices"
-                    )
-                faces.append(
-                    Face(
-                        id=fid,
-                        boundary=tuple(boundary),
-                        walks=tuple(walks[w] for w in walk_ids),
-                        is_outer=is_outer,
-                        is_triangle=is_triangle,
-                        vertices=tuple(verts),
-                    )
+            if comp_count - isolated_count > 1:
+                outer_walks = _outer_walks(
+                    [comp_of_vertex[tail[w[0]]] for w in walks], outer_walk
                 )
+            else:
+                outer_walks = [outer_walk]
+            first, joined = outer_walks[0], set(outer_walks[1:])
+            faces: list[Face] = []
+            face_of_walk: list[int] = []
+            for w, walk in enumerate(walks):
+                if w in joined:
+                    face_of_walk.append(self.outer_face_id)
+                    continue
+                fid = len(faces)
+                face_of_walk.append(fid)
+                if w == first:
+                    self.outer_face_id = fid
+                    group = tuple(map(walks.__getitem__, outer_walks))
+                    faces.append(_face(fid, group, True, tail))
+                else:
+                    faces.append(_face(fid, (walk,), False, tail))
             self.faces = tuple(faces)
-            self.face_of_dart = tuple(face_of_dart)
-            self.outer_face_id = outer_face_id
+            self.face_of_dart = tuple(
+                map(face_of_walk.__getitem__, walk_of_dart) if joined else walk_of_dart
+            )
 
-        edges = []
-        for d in range(self.dart_count):
-            if d < self.twin[d]:
-                u, v = self.tail[d], self.head[d]
-                edges.append((u, v) if u < v else (v, u))
-        self.edges = tuple(edges)
-        self.edge_set = frozenset(edges)
+        # The dart u->v with u < v has the smaller id of its pair.
+        self.edges = tuple(compress(dart_of, map(lt, tail, head)))
+        self.edge_set = frozenset(self.edges)
         self._triangles: tuple[Triangle, ...] | None = None
         self._ceiling: int | None = None
 
@@ -389,7 +414,12 @@ class PlaneGraph:
     def ceiling(self) -> int:
         """``cactus_ceiling`` of the candidate triangles, computed once."""
         if self._ceiling is None:
-            self._ceiling = cactus_ceiling([t.vertices for t in self.triangles])
+            uf = DisjointSet(self.n)
+            union = uf.union
+            for a, b, c in (t.vertices for t in self.triangles):
+                union(a, b)
+                union(a, c)
+            self._ceiling = _ceiling_of(uf)
         return self._ceiling
 
     def face_at(self, u: int, v: int) -> Face:
@@ -413,19 +443,22 @@ def _collect_triangles(g: PlaneGraph) -> tuple[Triangle, ...]:
             by_vertices.setdefault(f.vertices, []).append(f.id)
 
     records = []
-    for tid, (a, b, c) in enumerate(sorted(by_vertices)):
-        face_ids = tuple(by_vertices[a, b, c])
-        bounded = [fid for fid in face_ids if fid != g.outer_face_id]
-        records.append(
-            Triangle(
-                id=tid,
-                vertices=(a, b, c),
-                edges=((a, b), (a, c), (b, c)),
-                face_ids=face_ids,
-                face_id=bounded[0] if len(bounded) == 1 else face_ids[0],
-            )
-        )
+    for tid, key in enumerate(sorted(by_vertices)):
+        face_ids = by_vertices[key]
+        face_id = face_ids[0]
+        if len(face_ids) > 1:
+            bounded = [fid for fid in face_ids if fid != g.outer_face_id]
+            if len(bounded) == 1:
+                face_id = bounded[0]
+        a, b, c = key
+        records.append(Triangle(tid, key, ((a, b), (a, c), (b, c)), tuple(face_ids), face_id))
     return tuple(records)
+
+
+def _ceiling_of(uf: DisjointSet) -> int:
+    """Sum of (s - 1) // 2 over the sets of uf, of s elements each."""
+    size = uf.size
+    return sum((size[r] - 1) // 2 for r, p in enumerate(uf.parent) if r == p)
 
 
 def cactus_ceiling(triples: Sequence[Sequence[int]]) -> int:
@@ -443,7 +476,7 @@ def cactus_ceiling(triples: Sequence[Sequence[int]]) -> int:
     for u, v, w in triples:
         uf.union(index[u], index[v])
         uf.union(index[u], index[w])
-    return sum((uf.size[r] - 1) // 2 for r, p in enumerate(uf.parent) if r == p)
+    return _ceiling_of(uf)
 
 
 def missing_edges_to_triangulation(g: PlaneGraph) -> int:
@@ -497,23 +530,16 @@ def parse_instance(data: object) -> PlaneGraph:
     rotations = data["rotations"]
     if not isinstance(rotations, list):
         raise InstanceFormatError('"rotations" must be a list of neighbor lists')
+    # PlaneGraph checks the entries and the outer dart's ends; a fault in
+    # the entries before a shape fault here is still reported first.
     for u, nbrs in enumerate(rotations):
         if not isinstance(nbrs, list):
+            _check_entries(rotations[:u])
             raise InstanceFormatError(f"rotation of vertex {u} must be a list")
-        for v in nbrs:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InstanceFormatError(
-                    f"rotation of vertex {u} holds a non-integer entry {v!r}"
-                )
     outer = data["outer"]
-    if outer is not None:
-        if (
-            not isinstance(outer, (list, tuple))
-            or len(outer) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in outer)
-        ):
-            raise InstanceFormatError(f'"outer" must be [u, v] or null, got {outer!r}')
-        outer = (outer[0], outer[1])
+    if outer is not None and (not isinstance(outer, (list, tuple)) or len(outer) != 2):
+        _check_entries(rotations)
+        raise InstanceFormatError(f'"outer" must be [u, v] or null, got {outer!r}')
     return PlaneGraph(n, rotations, outer)
 
 

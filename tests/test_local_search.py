@@ -261,6 +261,13 @@ def test_below_the_ceiling_the_verifier_returns_the_scan_witness(rmp16):
     assert exc.value.witness == move
 
 
+@pytest.mark.parametrize("t", [0, True, False, 1.0])
+def test_search_rejects_swap_sizes_it_does_not_run(rmp16, t):
+    # True == 1, so a membership test alone would run a 1-swap search.
+    with pytest.raises(ValueError):
+        local_search(rmp16, SearchConfig(t=t))
+
+
 def test_swap_sizes_the_scan_does_not_enumerate_are_rejected(rmp16):
     # This 2-swap optimum ends one triangle short of the ceiling; rmp16's
     # ends at it, where the verifier would otherwise answer unscanned.

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cactus_forge import (
     GeneratorSpec,
@@ -17,6 +18,7 @@ from cactus_forge import (
 )
 from cactus_forge.errors import (
     AsymmetricAdjacencyError,
+    CactusForgeError,
     BadOuterDesignatorError,
     DisconnectedError,
     LoopEdgeError,
@@ -24,7 +26,8 @@ from cactus_forge.errors import (
     ParallelEdgeError,
     TooFewVerticesError,
 )
-from cactus_forge.plane_graph import dump_instance, instance_to_dict
+from cactus_forge.plane_graph import dump_instance, instance_to_dict, parse_instance
+from reference_plane_graph import host_tables, tables_of
 from reference_subgraph import reembed
 from reference_triangles import collect_triangles
 
@@ -116,6 +119,15 @@ class TestValidation:
         with pytest.raises(NonPlanarEmbeddingError):
             PlaneGraph(5, rot, (0, 1))
 
+    def test_bool_and_non_int_entries(self):
+        # bool is an int subclass, and True == 1 would make the edge (0, True).
+        for rot in ([[True], [0]], [[1], [False]], [[1.0], [0]]):
+            with pytest.raises(InstanceFormatError, match="non-integer entry"):
+                PlaneGraph(2, rot, (0, 1))
+        for outer in ((0, True), (False, 1), [0, 1.0]):
+            with pytest.raises(InstanceFormatError, match='"outer" must be'):
+                PlaneGraph(2, [[1], [0]], outer)
+
     def test_bad_outer_designator(self):
         with pytest.raises(BadOuterDesignatorError):
             PlaneGraph(3, [[1, 2], [2, 0], [0, 1]], (0, 7))
@@ -187,6 +199,122 @@ class TestTriangleTable:
             assert t.face_id == bounded != g.outer_face_id
 
 
+def _outcome(tables):
+    """What tables() returns, or its error's class and text."""
+    try:
+        return tables()
+    except CactusForgeError as exc:
+        return type(exc), str(exc)
+
+
+class TestHostTables:
+    # The flat build against the dart-by-dart reference, table by table.
+    def _check(self, g):
+        data = instance_to_dict(g)
+        expected = host_tables(data)
+        assert tables_of(g) == expected
+        assert tables_of(parse_instance(data)) == expected
+
+    def test_acceptance_hosts(self):
+        for spec in acceptance_corpus():
+            self._check(build_instance(spec))
+
+    def test_edge_deleted_hosts(self):
+        joined = 0
+        for n in (8, 16, 32, 64):
+            for seed in range(10):
+                host = build_instance(
+                    GeneratorSpec("random_maximal_planar", n=n, seed=seed)
+                )
+                for p in (0.15, 0.3):
+                    rng = random.Random(seed)
+                    kept = {e for e in sorted(host.edge_set) if rng.random() >= p}
+                    g = reembed(host, kept)[0]
+                    self._check(g)
+                    joined += len(g.outer_face.walks) > 1
+        # Some of them leave the outer face with a walk of each component.
+        assert joined > 0
+
+    def test_handmade_hosts(self, bowtie, necklace, two_k4):
+        two_triangles = PlaneGraph(
+            6, [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]], (0, 1)
+        )
+        for g in (bowtie, necklace, two_k4, two_triangles):
+            self._check(g)
+        assert len(two_triangles.outer_face.walks) == 2
+        assert len(two_triangles.triangles) == 2
+
+    def test_edgeless_graph(self):
+        for n in (0, 1, 3):
+            self._check(PlaneGraph(n, [[]] * n, None))
+
+
+# Each corruption edits a JSON instance in place.  The shape faults only
+# the JSON reader knows (a rotation or an outer dart that is not a list
+# of the right length) are checked through parse_instance alone.
+_CORRUPTIONS = (
+    "loop", "range", "repeat", "missing", "reversed", "entry", "outer",
+    "count", "rotation shape", "outer shape",
+)
+
+
+@st.composite
+def _corrupted(draw, first):
+    n = draw(st.integers(4, 14))
+    seed = draw(st.integers(0, 999))
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        g = reembed(g, {e for e in sorted(g.edge_set) if rng.random() >= 0.3})[0]
+    data = instance_to_dict(g)
+    rot = data["rotations"]
+    kinds = [first] + draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=2))
+    for kind in kinds:
+        u = draw(st.integers(0, n - 1))
+        nbrs = rot[u]
+        if not isinstance(nbrs, list):
+            continue
+        at = draw(st.integers(0, len(nbrs)))
+        if kind == "loop":
+            nbrs.insert(at, u)
+        elif kind == "range":
+            nbrs.insert(at, draw(st.sampled_from([-1, n, n + 3])))
+        elif kind == "repeat" and nbrs:
+            nbrs.insert(at, draw(st.sampled_from(nbrs)))
+        elif kind == "missing" and nbrs:
+            del nbrs[at % len(nbrs)]
+        elif kind == "reversed":
+            nbrs.reverse()
+        elif kind == "entry" and nbrs:
+            nbrs[at % len(nbrs)] = draw(st.sampled_from([True, False, 1.0, "1", None]))
+        elif kind == "outer":
+            data["outer"] = draw(
+                st.sampled_from([[0, 0], [0, n], [n - 1, -1], [True, 1], [0, 1.0], None])
+            )
+        elif kind == "count":
+            data["n"] = n + draw(st.sampled_from([-1, 1]))
+        elif kind == "rotation shape":
+            rot[u] = draw(st.sampled_from([5, "ab", None, {}]))
+        elif kind == "outer shape":
+            data["outer"] = draw(st.sampled_from([[0, 1, 2], [0], "01", 7]))
+    return data, kinds
+
+
+@pytest.mark.parametrize("first", _CORRUPTIONS)
+@settings(max_examples=40, deadline=None)
+@given(source=st.data())
+def test_corrupted_instances_fail_as_the_reference_does(first, source):
+    # Up to two more corruptions pin which fault is reported first.
+    data, kinds = source.draw(_corrupted(first))
+    expected = _outcome(lambda: host_tables(data))
+    assert _outcome(lambda: tables_of(parse_instance(data))) == expected, kinds
+    if "rotation shape" not in kinds and "outer shape" not in kinds:
+        direct = _outcome(
+            lambda: tables_of(PlaneGraph(data["n"], data["rotations"], data["outer"]))
+        )
+        assert direct == expected, kinds
+
+
 class TestTriangulationDeficit:
     def test_values(self, triangle, k4, double_ear):
         assert missing_edges_to_triangulation(triangle) == 0
@@ -239,6 +367,18 @@ class TestInstanceIO:
         assert d["n"] == 3
         assert d["rotations"] == [[1, 2], [2, 0], [0, 1]]
         assert tuple(d["outer"]) == (1, 0)
+
+    def test_entry_faults_come_before_later_shape_faults(self):
+        # PlaneGraph checks the entries, parse_instance the shape; an entry
+        # fault of an earlier vertex is still the one reported.
+        entry = "rotation of vertex 0 holds a non-integer entry True"
+        for rotations, outer in (([[True], 5], [0, 1]), ([[True], [0]], [0, 1, 2])):
+            data = {"n": 2, "rotations": rotations, "outer": outer}
+            with pytest.raises(InstanceFormatError) as exc:
+                parse_instance(data)
+            assert str(exc.value) == entry
+        with pytest.raises(InstanceFormatError, match="vertex 0 must be a list"):
+            parse_instance({"n": 2, "rotations": [5, [True]], "outer": [0, 1]})
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

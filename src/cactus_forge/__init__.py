@@ -21,7 +21,6 @@ from .cactus import (
 from .errors import (
     BudgetExceededError,
     CactusForgeError,
-    CandidateGuardError,
     IdentityViolationError,
     InstanceFormatError,
     InvalidCactusError,
@@ -76,7 +75,6 @@ __all__ = [
     "InvalidCactusError",
     "NotLocallyOptimalError",
     "IdentityViolationError",
-    "CandidateGuardError",
     "BudgetExceededError",
     "SearchConfig",
     "SearchTrace",

@@ -44,7 +44,7 @@ from .errors import (
     NotAComponentError,
     NotLocallyOptimalError,
 )
-from .local_search import verify_local_optimality
+from .local_search import check_host, verify_local_optimality
 from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
 
@@ -283,7 +283,10 @@ class _HostTables:
     left and that face's third corner when the dart's two ends share a
     component and the third corner lies outside it: one cross triangle
     per entry.  survivor_of labels each triangular face whose three
-    corners share a component, and is -1 on every other face.
+    corners share a component, and is -1 on every other face.  maximal
+    says that no triangular face has its corners in three components;
+    every candidate bounds such a face, so it says no candidate extends
+    the cactus.
     """
 
     def __init__(self, g: PlaneGraph, cactus: TriangularCactus):
@@ -314,6 +317,7 @@ class _HostTables:
 
         self.cross_at: dict[int, tuple[int, int]] = {}
         self.survivor_of = [-1] * len(g.faces)
+        self.maximal = True
         for f in g.faces:
             if not f.is_triangle:
                 continue
@@ -329,6 +333,8 @@ class _HostTables:
                 self.cross_at[d2] = (f.id, a)
             elif lc == la:
                 self.cross_at[d3] = (f.id, b)
+            else:
+                self.maximal = False
 
 
 class _ComponentAnalysis:
@@ -998,8 +1004,10 @@ def component_report(
     them from informational into required, and it decides what a failed
     heavy-shape check means: on an unverified cactus it raises
     NotLocallyOptimalError (without a witness), on a verified one it is
-    kept as a failed verdict.
+    kept as a failed verdict.  A cactus of another graph than g raises
+    ValueError.
     """
+    check_host(g, cactus)
     s = frozenset(component)
     if not s:
         raise NotAComponentError("the empty set is not a cactus component")
@@ -1032,8 +1040,10 @@ def analyze_cactus(
     one that admits an improving move of size at most 2 raises
     NotLocallyOptimalError with that move as its witness.  verified=True
     or False is taken on trust.  Either way every component report gets
-    the settled bool.
+    the settled bool.  A cactus of another graph than g raises
+    ValueError.
     """
+    check_host(g, cactus)
     if verified is None:
         verified, witness = verify_local_optimality(g, cactus, 2)
         if not verified:
@@ -1052,14 +1062,7 @@ def analyze_cactus(
             continue
         reports.append(_ComponentAnalysis(tables, root).report(verified))
 
-    maximal = True
-    label = tables.label
-    for tri in g.triangles:
-        a, b, c = tri.vertices
-        if label[a] != label[b] and label[b] != label[c] and label[a] != label[c]:
-            maximal = False
-            break
-
+    maximal = tables.maximal
     anchored_total = sum(r.anchored_count for r in reports)
     f3 = g.f3_all
     verdicts = []

@@ -22,7 +22,6 @@ from .cactus import cactus_from_triples, cactus_to_triples
 from .errors import (
     BudgetExceededError,
     CactusForgeError,
-    CandidateGuardError,
     IdentityViolationError,
     InstanceFormatError,
     NotLocallyOptimalError,
@@ -138,7 +137,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     g = load_instance(args.path)
     cands = clique_candidates(g) if args.all_triangles else face_candidates(g)
-    res, witness = max_cactus(cands, args.budget, allow_large=args.allow_large)
+    res, witness = max_cactus(cands, args.budget)
     _emit(
         {
             "optimum": res.optimum,
@@ -262,10 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-triangles", action="store_true",
                    help="use all 3-cliques, not just triangular faces")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most rank evaluations the witness may take")
-    p.add_argument("--allow-large", action="store_true",
-                   help="bypass the witness's candidate-count guard "
-                        "(one rank evaluation per candidate)")
+                   help="most rank evaluations the witness may take: one "
+                        "for the value plus one per candidate (default %(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
 
@@ -317,7 +314,7 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             print(f"witness move: {exc.witness}", file=sys.stderr)
         return 2
-    except (CandidateGuardError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
         return 4
     except (CactusForgeError, OSError) as exc:

@@ -67,29 +67,18 @@ class InvalidCactusError(CactusForgeError, ValueError):
     cycle through several triangles)."""
 
 
-class CandidateGuardError(CactusForgeError, ValueError):
-    """The witness search was handed more candidates than its guard allows."""
-
-    def __init__(self, count: int, guard: int):
-        super().__init__(
-            f"{count} candidate triangles exceed the witness guard of {guard}; "
-            "pass allow_large=True (--allow-large on the command line) to override"
-        )
-        self.count = count
-        self.guard = guard
-
-
 class BudgetExceededError(CactusForgeError, RuntimeError):
-    """The witness search ran out of rank evaluations.
+    """The witness search could need more rank evaluations than its budget.
 
-    The value is already known and rides along as ``.result``, with the
-    evaluations made so far as its ``nodes_explored``; no witness does.
+    It is raised before the search, after the value's one evaluation:
+    the value rides along as ``.result``, with ``nodes_explored`` 1, and
+    no witness does.
     """
 
-    def __init__(self, result):
+    def __init__(self, result, needed: int, budget: int):
         super().__init__(
-            f"witness search exhausted its budget after {result.nodes_explored} "
-            "rank evaluations"
+            f"the witness may need {needed} rank evaluations, more than the "
+            f"budget of {budget}; raise it with --budget (beta = {result.optimum})"
         )
         self.result = result
 

@@ -97,31 +97,20 @@ class _Triangulation:
 
     def __init__(self):
         self.rot: list[list[int]] = [[1, 2], [2, 0], [0, 1]]
-        self.faces: list[tuple[int, int, int]] = [(0, 1, 2)]
-        self.face_pos: dict[tuple[int, int, int], int] = {(0, 1, 2): 0}
-        self.face_of_dart: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self._index_face((0, 1, 2))
+        self.faces: list[tuple[int, int, int]] = []
+        # Each dart of a bounded face, mapped to that face's index in faces.
+        self.face_of_dart: dict[tuple[int, int], int] = {}
+        self._set_face(0, (0, 1, 2))
         self.edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
         self.edge_pos: dict[tuple[int, int], int] = {
             e: i for i, e in enumerate(self.edges)
         }
 
-    def _index_face(self, tri: tuple[int, int, int]) -> None:
+    def _set_face(self, i: int, tri: tuple[int, int, int]) -> None:
+        """Make tri face i, appended when i == len(faces), and index its darts."""
+        self.faces[i:i + 1] = [tri]
         a, b, c = tri
-        self.face_of_dart[(a, b)] = tri
-        self.face_of_dart[(b, c)] = tri
-        self.face_of_dart[(c, a)] = tri
-
-    def _replace_face(self, old: tuple[int, int, int], new: tuple[int, int, int]) -> None:
-        pos = self.face_pos.pop(old)
-        self.faces[pos] = new
-        self.face_pos[new] = pos
-        self._index_face(new)
-
-    def _append_face(self, tri: tuple[int, int, int]) -> None:
-        self.face_pos[tri] = len(self.faces)
-        self.faces.append(tri)
-        self._index_face(tri)
+        self.face_of_dart[(a, b)] = self.face_of_dart[(b, c)] = self.face_of_dart[(c, a)] = i
 
     def _add_edge(self, u: int, v: int) -> None:
         e = (u, v) if u < v else (v, u)
@@ -146,14 +135,14 @@ class _Triangulation:
     def stack(self, face_index: int, k: int) -> None:
         """Insert new vertex k into bounded face (a, b, c), splitting it
         into (a, b, k), (b, c, k), (c, a, k)."""
-        a, b, c = tri = self.faces[face_index]
+        a, b, c = self.faces[face_index]
         self.rot.append([a, b, c])
         self._insert_after(a, b, k, c)
         self._insert_after(b, c, k, a)
         self._insert_after(c, a, k, b)
-        self._replace_face(tri, (a, b, k))
-        self._append_face((b, c, k))
-        self._append_face((c, a, k))
+        self._set_face(face_index, (a, b, k))
+        self._set_face(len(self.faces), (b, c, k))
+        self._set_face(len(self.faces), (c, a, k))
         self._add_edge(a, k)
         self._add_edge(b, k)
         self._add_edge(c, k)
@@ -165,8 +154,8 @@ class _Triangulation:
         fv = self.face_of_dart.get((v, u))
         if fu is None or fv is None:
             return False
-        x = next(z for z in fu if z not in (u, v))
-        y = next(z for z in fv if z not in (u, v))
+        x = next(z for z in self.faces[fu] if z not in (u, v))
+        y = next(z for z in self.faces[fv] if z not in (u, v))
         if x == y:
             return False
         e = (x, y) if x < y else (y, x)
@@ -182,8 +171,8 @@ class _Triangulation:
         self.rot[v].remove(u)
         del self.face_of_dart[(u, v)]
         del self.face_of_dart[(v, u)]
-        self._replace_face(fu, (u, y, x))
-        self._replace_face(fv, (y, v, x))
+        self._set_face(fu, (u, y, x))
+        self._set_face(fv, (y, v, x))
         self._drop_edge(u, v)
         self._add_edge(x, y)
         return True

@@ -192,12 +192,24 @@ def _swap_size(t: int) -> int:
     return t
 
 
+def check_host(g: PlaneGraph, c: TriangularCactus, what: str = "cactus") -> None:
+    """Raise ``ValueError`` unless c is a cactus of g itself.
+
+    An equal graph is not enough: c's triangle ids and at_ceiling are
+    read off c.host, so against any other graph they would certify or
+    index the wrong host."""
+    if c.host is not g:
+        raise ValueError(f"the {what} belongs to another host graph")
+
+
 def find_improving_swap(
     g: PlaneGraph, c: TriangularCactus, t: int = 2
 ) -> SwapMove | None:
     """Lexicographically first improving move, or None at a local optimum.
 
-    A t outside {0, 1, 2} raises ``ValueError``."""
+    This is the raw scan: it does not check that c belongs to g, so a
+    cactus of an equal graph, rebuilt from the same instance, may be
+    scanned against it.  A t outside {0, 1, 2} raises ``ValueError``."""
     return next(_MoveScan(g, c).moves(_swap_size(t)), None)
 
 
@@ -210,8 +222,10 @@ def verify_local_optimality(
     A cactus at the ceiling of ``TriangularCactus.at_ceiling`` is a
     maximum cactus, so no move can improve it and no scan runs; below
     the ceiling the verifier runs the search's move scan.  A t outside
-    {0, 1, 2} raises ``ValueError``, at the ceiling too."""
+    {0, 1, 2} raises ``ValueError``, at the ceiling too, and so does a
+    cactus of another graph than g (see ``check_host``)."""
     _swap_size(t)
+    check_host(g, c)
     if c.at_ceiling:
         return True, None
     move = find_improving_swap(g, c, t)
@@ -245,8 +259,8 @@ def local_search(
     the moves after start."""
     if _swap_size(cfg.t) == 0:
         raise ValueError(f"swap size must be 1 or 2, got {cfg.t!r}")
-    if start is not None and start.host is not g:
-        raise ValueError("the start cactus belongs to another host graph")
+    if start is not None:
+        check_host(g, start, "start cactus")
 
     began = time.perf_counter()
     c = greedy_initial(g, cfg.seed) if start is None else start.copy()

@@ -30,8 +30,9 @@ with one vertex's coordinate dropped, of size s − 1.
 The value takes one rank evaluation.  A witness, a maximum cactus
 itself, comes from self-reduction (``max_cactus``): drop a candidate
 whenever the rest still has rank 2β, with the same weights throughout.
-It costs one rank evaluation per candidate, so it is guarded and
-budgeted.
+It costs at most one rank evaluation per candidate besides the
+value's, and a budget of rank evaluations, checked against that count
+before the search starts, caps it.
 
 Two candidate universes are offered: the triangular faces of a plane
 graph (matching the local search's move set) and all 3-cliques of an
@@ -45,12 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cactus import triples_form_cactus
-from .errors import (
-    BudgetExceededError,
-    CactusForgeError,
-    CandidateGuardError,
-    IdentityViolationError,
-)
+from .errors import BudgetExceededError, CactusForgeError, IdentityViolationError
 from .plane_graph import PlaneGraph, cactus_ceiling
 from .unionfind import DisjointSet
 
@@ -61,12 +57,10 @@ __all__ = [
     "face_candidates",
     "clique_candidates",
     "max_cactus",
-    "CANDIDATE_GUARD",
     "DEFAULT_BUDGET",
 ]
 
-CANDIDATE_GUARD = 40
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_BUDGET = 41  # the value and 40 candidates
 PRIME = (1 << 61) - 1
 WEIGHT_SEED = 2018
 
@@ -214,37 +208,32 @@ def exact_beta_all_triangles(
 
 
 def max_cactus(
-    candidates: Sequence[Triple],
-    budget: int = DEFAULT_BUDGET,
-    *,
-    allow_large: bool = False,
+    candidates: Sequence[Triple], budget: int = DEFAULT_BUDGET
 ) -> tuple[OracleResult, tuple[Triple, ...]]:
     """β and a cactus of β candidates, by self-reduction.
 
     Candidates are visited in order, and one is dropped whenever the
     rank of the rest stays 2β.  Once exactly β are left, all of them
-    are needed.  More than CANDIDATE_GUARD candidates raise
-    CandidateGuardError unless ``allow_large``.  ``budget`` caps the
-    rank evaluations and must be at least 1; the value's own always runs
-    and counts toward it.  Running past it raises BudgetExceededError
-    with the value and the evaluations so far.  A result that is not a
-    cactus of β triangles raises IdentityViolationError.
+    are needed.  So m candidates take at most m + 1 rank evaluations,
+    the value's own included, and ``budget`` caps that count: it must
+    be at least 1, and when m + 1 exceeds it, BudgetExceededError is
+    raised after the value's evaluation, with the value, before any
+    other.  A result that is not a cactus of β triangles raises
+    IdentityViolationError.
     """
     # Below 1 the value's own evaluation would already overrun the cap.
     if budget < 1:
         raise CactusForgeError(f"--budget must be at least 1, got {budget}")
-    if len(candidates) > CANDIDATE_GUARD and not allow_large:
-        raise CandidateGuardError(len(candidates), CANDIDATE_GUARD)
     parity = _Parity(candidates, cactus_ceiling(candidates))
     full = parity.rank(range(len(candidates)))
+    if len(candidates) + 1 > budget:
+        raise BudgetExceededError(parity.result(full, 1), len(candidates) + 1, budget)
     beta = full // 2
     evaluations = 1
     keep = list(range(len(candidates)))
     for t in range(len(candidates)):
         if len(keep) == beta:
             break
-        if evaluations >= budget:
-            raise BudgetExceededError(parity.result(full, evaluations))
         evaluations += 1
         rest = [s for s in keep if s != t]
         if parity.rank(rest) == full:

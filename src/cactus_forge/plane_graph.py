@@ -196,8 +196,8 @@ class PlaneGraph:
     Construct with ``PlaneGraph(n, rotations, outer)`` where rotations are
     counterclockwise neighbor lists and ``outer`` is an ``(u, v)`` pair
     naming a dart on the outer face (``None`` only for edgeless graphs).
-    Rotation entries and the ends of ``outer`` must be ints; a bool is
-    not one.  The dart, face and edge tables are built by the constructor;
+    The vertex count, rotation entries and the ends of ``outer`` must be
+    ints; a bool is not one.  The dart, face and edge tables are built by the constructor;
     the triangle candidates and their ceiling are built on first read,
     once per graph.  None of them changes after, so instances are safe to
     share.
@@ -231,6 +231,9 @@ class PlaneGraph:
         rotations: Sequence[Sequence[int]],
         outer: tuple[int, int] | None = None,
     ):
+        # bool is an int subclass, so True would otherwise mean n = 1.
+        if type(n) is not int:
+            raise InstanceFormatError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise InstanceFormatError(f"vertex count must be nonnegative, got {n}")
         rotations = tuple(map(tuple, rotations))

@@ -21,6 +21,7 @@ from cactus_forge import (
     analyze_cactus,
     build_instance,
     component_report,
+    greedy_initial,
     local_search,
 )
 from cactus_forge.analyzer import _gain_floor_half
@@ -407,6 +408,33 @@ def _edge_deleted_optima():
         g, _, _ = reembed(host, kept)
         c, _ = local_search(g)
         yield f"edge-deleted s{seed}", g, c, None
+
+
+def test_maximal_is_read_off_the_face_pass():
+    # Greedy cacti, whole and with every other triangle removed, on whole
+    # and edge-deleted triangulations: maximal means no candidate has its
+    # corners in three components of the cactus.
+    seen = []
+    for n in (8, 16, 24, 40):
+        for seed in range(10):
+            host = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+            for p in (0, 0.15, 0.3):
+                rng = random.Random(seed)
+                kept = {e for e in sorted(host.edge_set) if rng.random() >= p}
+                g, _, _ = reembed(host, kept)
+                c = greedy_initial(g, seed)
+                for halve in (False, True):
+                    for tid in c.triangle_ids[::2] if halve else ():
+                        c.remove_triangle(tid)
+                    label = c.labels()
+                    extends = any(
+                        len({label[v] for v in t.vertices}) == 3 for t in g.triangles
+                    )
+                    # verified=True keeps shape faults as verdicts, not raised.
+                    report = analyze_cactus(g, c, verified=True)
+                    assert report.maximal is not extends, (n, seed, p, halve)
+                    seen.append(report.maximal)
+    assert seen.count(True) == seen.count(False) == 120
 
 
 def _canonical(obj):

@@ -1,5 +1,8 @@
 """Instance families: triangulations, wheels, fans, solids, grids."""
 
+import hashlib
+import json
+
 import pytest
 
 from cactus_forge import GeneratorSpec, build_instance
@@ -19,6 +22,25 @@ def test_family_registry():
     }
     with pytest.raises(UnknownFamilyError):
         build_instance(GeneratorSpec("moebius_kantor", n=8))
+
+
+# sha256 of json.dumps(rotations), pinned when the generator's face
+# table was rebuilt: the drawings it makes must not move.
+ROTATIONS_SHA256 = {
+    ("random_maximal_planar", 16, 1): "2fb07b23119cfa5678c295c6364318e5799ee2c1086381c008f3013a2e715f7a",
+    ("random_maximal_planar", 40, 2): "6d5e9c36f875956c9d8dafd04d6b56051cf93cca62ef9b26d3f3ddfc379c4bf3",
+    ("random_maximal_planar", 128, 3): "6e84d61acdb0d667ff856ae38980f1cfeb95512366d867eaf0c35c129a86e5d8",
+    ("apollonian", 16, 1): "1d56a9cb2ba2bd33b3fa58da9bf1acb08349d7ea191197da4420e25859f5e5bb",
+    ("apollonian", 40, 2): "6f12a4e2a0c02d7d27996fde31a5d07a3ad2e3858ca80231c14cf2addd8e7f2c",
+    ("apollonian", 128, 3): "14eb8d2a129c542c55d1eab6cfe4d2eb8e67fae34a58d732ded9f4194a851517",
+}
+
+
+@pytest.mark.parametrize("family,n,seed", sorted(ROTATIONS_SHA256))
+def test_rotations_are_pinned(family, n, seed):
+    g = build_instance(GeneratorSpec(family, n=n, seed=seed))
+    digest = hashlib.sha256(json.dumps(g.rotations).encode()).hexdigest()
+    assert digest == ROTATIONS_SHA256[family, n, seed]
 
 
 class TestRandomMaximalPlanar:

@@ -17,6 +17,7 @@ from cactus_forge import (
     acceptance_corpus,
     analyze_cactus,
     build_instance,
+    component_report,
     find_improving_swap,
     greedy_initial,
     local_search,
@@ -316,6 +317,29 @@ def test_a_start_from_another_host_is_rejected(rmp16, octa):
         local_search(rmp16, start=greedy_initial(twin))
     c, trace = local_search(rmp16, start=greedy_initial(rmp16))
     assert (c.delta, trace.initial_delta) == (7, 6)
+
+
+def test_certifying_against_another_host_is_rejected():
+    # The ceiling and the triangle ids are the cactus's own host's: read
+    # against another graph they would certify, or index, the wrong one.
+    g1 = build_instance(GeneratorSpec("random_maximal_planar", n=16, seed=1))
+    c1, _ = local_search(g1)
+    assert c1.at_ceiling
+    for n in (16, 20):
+        g2 = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=2))
+        with pytest.raises(ValueError, match="another host graph"):
+            verify_local_optimality(g2, c1, 2)
+        with pytest.raises(ValueError, match="another host graph"):
+            analyze_cactus(g2, c1, verified=True)
+        with pytest.raises(ValueError, match="another host graph"):
+            component_report(g2, c1, c1.component_of(0), verified=True)
+    # A t outside {0, 1, 2} is still reported first.
+    with pytest.raises(ValueError, match="swap size"):
+        verify_local_optimality(g2, c1, 3)
+    # The raw scan takes an equal host rebuilt from the same instance.
+    twin = build_instance(GeneratorSpec("random_maximal_planar", n=16, seed=1))
+    assert find_improving_swap(twin, c1, 2) is None
+    assert verify_local_optimality(g1, c1, 2) == (True, None)
 
 
 class _ReferenceScan:

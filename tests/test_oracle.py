@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cactus_forge import (
     BudgetExceededError,
     CactusForgeError,
-    CandidateGuardError,
     GeneratorSpec,
     SearchConfig,
     build_instance,
@@ -22,7 +21,8 @@ from cactus_forge import (
 )
 from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.cli import main
-from cactus_forge.oracle import CANDIDATE_GUARD, clique_candidates, face_candidates
+from cactus_forge import oracle
+from cactus_forge.oracle import DEFAULT_BUDGET, clique_candidates, face_candidates
 from cactus_forge.plane_graph import dump_instance
 from reference_oracle import reference_beta
 from reference_subgraph import reembed
@@ -44,7 +44,8 @@ def faces_of(g):
 
 def checked_witness(cands, res):
     """The self-reduction's witness, checked against the value ``res``."""
-    wres, witness = max_cactus(cands, allow_large=True)
+    budget = len(cands) + 1
+    wres, witness = max_cactus(cands, budget=budget)
     assert (wres.optimum, wres.ceiling, wres.exhausted) == (
         res.optimum, res.ceiling, res.exhausted
     )
@@ -132,16 +133,37 @@ def test_ceiling_sums_over_candidate_components(two_k4):
 
 
 def test_candidate_guard():
-    # The guard holds only for the witness; the value needs one rank.
+    # The default budget serves 40 candidates; the value needs one rank.
     g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
-    assert g.f3_all > CANDIDATE_GUARD
+    assert g.f3_all == 56 > DEFAULT_BUDGET - 1
     res = exact_beta_faces(g)
     assert res.optimum == res.ceiling == 14 and res.exhausted
-    with pytest.raises(CandidateGuardError) as exc:
+    with pytest.raises(BudgetExceededError) as exc:
         max_cactus(face_candidates(g))
-    assert exc.value.count == g.f3_all
-    assert exc.value.guard == CANDIDATE_GUARD
+    assert exc.value.result == res
+    assert str(exc.value) == (
+        "the witness may need 57 rank evaluations, more than the budget of 41; "
+        "raise it with --budget (beta = 14)"
+    )
     checked_witness(face_candidates(g), res)
+
+
+def test_budget_is_checked_before_the_search(monkeypatch):
+    # rmp n30 s7 has 56 candidates and its witness takes 54 evaluations,
+    # but 56 is refused up front: the cap is m + 1, not the count used.
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
+    cands = face_candidates(g)
+    ranks = []
+    real_rank = oracle._Parity.rank
+    monkeypatch.setattr(oracle._Parity, "rank",
+                        lambda self, keep: ranks.append(1) or real_rank(self, keep))
+    with pytest.raises(BudgetExceededError) as exc:
+        max_cactus(cands, budget=56)
+    assert len(ranks) == 1 and exc.value.result.nodes_explored == 1
+    assert exc.value.result.optimum == 14
+    ranks.clear()
+    res, witness = max_cactus(cands, budget=57)
+    assert len(ranks) == res.nodes_explored == 54 and len(witness) == 14
 
 
 def test_budget_carries_partial_result(icosa):
@@ -149,8 +171,24 @@ def test_budget_carries_partial_result(icosa):
     with pytest.raises(BudgetExceededError) as exc:
         max_cactus(face_candidates(icosa), budget=10)
     partial = exc.value.result
-    assert partial.nodes_explored == 10
+    assert partial.nodes_explored == 1
     assert partial.optimum == 5 and partial.exhausted
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=24),
+       st.integers(1, 40))
+def test_witness_stays_within_its_budget(pairs, budget):
+    edges, cands = clique_graph(pairs, 9)
+    value = exact_beta_all_triangles(edges)
+    if len(cands) + 1 > budget:
+        with pytest.raises(BudgetExceededError) as exc:
+            max_cactus(cands, budget=budget)
+        assert exc.value.result == value
+    else:
+        res, witness = max_cactus(cands, budget=budget)
+        assert res.nodes_explored <= budget
+        assert res.optimum == value.optimum == len(witness)
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -283,10 +321,10 @@ def rmp520():
 
 def test_large_search_runs_out_of_budget_not_stack(rmp520):
     # The value is one rank evaluation at any size; the witness then
-    # needs more than a budget of one.
+    # needs more than the default budget, and nothing else runs.
     assert rmp520.f3_all == 1036
     with pytest.raises(BudgetExceededError) as exc:
-        max_cactus(face_candidates(rmp520), budget=1, allow_large=True)
+        max_cactus(face_candidates(rmp520))
     partial = exc.value.result
     assert (partial.optimum, partial.ceiling, partial.exhausted) == (259, 259, True)
     assert partial.nodes_explored == 1
@@ -295,8 +333,9 @@ def test_large_search_runs_out_of_budget_not_stack(rmp520):
 def test_large_search_cli_exits_4(rmp520, tmp_path, capsys):
     inst = tmp_path / "rmp520.json"
     dump_instance(rmp520, inst)
-    code = main(["oracle", "--in", str(inst), "--allow-large", "--budget", "1"])
+    code = main(["oracle", "--in", str(inst), "--budget", "1036"])
     assert code == 4
     err = capsys.readouterr().err
     assert "oracle refused" in err
+    assert "1037 rank evaluations" in err and "beta = 259" in err
     assert "Traceback" not in err

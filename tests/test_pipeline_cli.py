@@ -446,7 +446,7 @@ class TestCorpusHarness:
         ]
         res = verify_corpus(corpus)
         small, large, error = res.reports
-        # n30 s7 has more than CANDIDATE_GUARD = 40 candidates.
+        # n30 s7 has 56 candidates, more than the witness budget serves.
         assert small["oracle_status"] == large["oracle_status"] == "parity-ceiling"
         assert (small["ceiling"], large["ceiling"]) == (4, 14)
         assert [r.beta_faces for r in res.rows[:2]] == [4, 14]
@@ -523,7 +523,7 @@ class TestCli:
         assert main(["oracle", "--in", str(inst)]) == 4
         err = capsys.readouterr().err
         assert "oracle refused" in err
-        assert "--allow-large" in err
+        assert "--budget" in err and "beta = 14" in err
 
     def test_oracle_witness_that_fails_its_check_exits_3(self, tmp_path, capsys, monkeypatch):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")

@@ -128,6 +128,15 @@ class TestValidation:
             with pytest.raises(InstanceFormatError, match='"outer" must be'):
                 PlaneGraph(2, [[1], [0]], outer)
 
+    def test_vertex_count_must_be_a_nonnegative_int(self):
+        # A bool n would be searched as n = 1, and a float one fails later
+        # with a bare TypeError.
+        for n in (True, 1.0):
+            with pytest.raises(InstanceFormatError, match="vertex count must be an int"):
+                PlaneGraph(n, [[]], None)
+        with pytest.raises(InstanceFormatError, match="must be nonnegative, got -1"):
+            PlaneGraph(-1, [], None)
+
     def test_bad_outer_designator(self):
         with pytest.raises(BadOuterDesignatorError):
             PlaneGraph(3, [[1, 2], [2, 0], [0, 1]], (0, 7))

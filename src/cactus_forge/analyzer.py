@@ -35,8 +35,7 @@ Vocabulary used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cactus import TriangularCactus
 from .errors import (
@@ -67,8 +66,7 @@ __all__ = [
 # result records
 
 
-@dataclass(frozen=True)
-class CrossTriangle:
+class CrossTriangle(NamedTuple):
     """One triangular face poking out of the component.
 
     side_dart is the host dart of the supporting edge whose left face is
@@ -84,8 +82,7 @@ class CrossTriangle:
     landing: int
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
     """Classification of one edge of the component subgraph."""
 
     edge: tuple[int, int]
@@ -95,8 +92,7 @@ class EdgeClass:
     crosses: tuple[CrossTriangle, ...]
 
 
-@dataclass(frozen=True)
-class TriangleClass:
+class TriangleClass(NamedTuple):
     """Cross load and heaviness of one cactus triangle.
 
     cross_type counts how many of the triangle's own edges support a
@@ -123,8 +119,7 @@ class TriangleClass:
     free_vertex: int | None
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     """Component subgraph minus crossless chords, read off the host drawing.
 
     Face i is a region of host faces merged across the deleted edges:
@@ -143,8 +138,7 @@ class Skeleton:
     outer_super_face: int | None
 
 
-@dataclass(frozen=True)
-class BoundaryCounts:
+class BoundaryCounts(NamedTuple):
     """Side-role tallies around one super-face (all-heavy components).
 
     Every boundary side is exactly one of these: a chord side (single- or
@@ -162,8 +156,7 @@ class BoundaryCounts:
     free_crossed: int
 
 
-@dataclass(frozen=True)
-class SuperFace:
+class SuperFace(NamedTuple):
     """Occupancy accounting for one skeleton super-face.
 
     A boundary side is occupied when the host face on that side is a
@@ -194,8 +187,7 @@ class SuperFace:
     gain_ok: bool | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One named check with its outcome.
 
     required marks checks that must hold for the report to count as
@@ -209,8 +201,7 @@ class Verdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Everything the analyzer knows about one cactus component."""
 
     vertices: tuple[int, ...]
@@ -239,8 +230,7 @@ class ComponentReport:
         return tuple(v for v in self.verdicts if not v.ok)
 
 
-@dataclass(frozen=True)
-class CactusReport:
+class CactusReport(NamedTuple):
     """Whole-cactus roll-up of the per-component reports."""
 
     components: tuple[ComponentReport, ...]
@@ -267,6 +257,9 @@ class CactusReport:
 # ----------------------------------------------------------------------
 # the per-component engine
 
+# EdgeClass.kind of a chord, by its number of crosses.
+_CHORD_KINDS = ("type-0", "type-1", "type-2")
+
 
 class _HostTables:
     """What every component's analysis reads of the host and the cactus,
@@ -277,13 +270,14 @@ class _HostTables:
     component's vertices, ascending, keyed by its label in order of the
     smallest member; tri_ids holds each component's cactus triangles and
     inside_of the host darts with both ends in it, both ascending.
-    owner maps each cactus edge (u, v), u < v, to its triangle.
-    apart merges the host faces across every edge whose ends lie in two
-    components.  cross_at maps a host dart to the triangular face on its
-    left and that face's third corner when the dart's two ends share a
-    component and the third corner lies outside it: one cross triangle
-    per entry.  survivor_of labels each triangular face whose three
-    corners share a component, and is -1 on every other face.  maximal
+    owner_at gives per host dart the cactus triangle owning its edge, or
+    None.  apart merges the host faces across every edge whose ends lie
+    in two components.  cross_at gives per host dart the triangular face
+    on its left and that face's third corner when the dart's two ends
+    share a component and the third corner lies outside it (one cross
+    triangle per such dart), else None.  survivor_of labels each
+    triangular face whose three corners share a component, and is -1 on
+    every other face.  maximal
     says that no triangular face has its corners in three components;
     every candidate bounds such a face, so it says no candidate extends
     the cactus.
@@ -293,32 +287,35 @@ class _HostTables:
         self.g = g
         self.c = cactus
         self.label = label = cactus.labels()
-        self.members: dict[int, list[int]] = {}
+        self.members = members = {}
         for v, r in enumerate(label):
-            self.members.setdefault(r, []).append(v)
-        self.landing = [self.members[r][0] for r in label]
-        self.tri_ids: dict[int, list[int]] = {}
-        self.owner: dict[tuple[int, int], int] = {}
+            members.setdefault(r, []).append(v)
+        self.landing = [members[r][0] for r in label]
+        tail, head, twin, face_of = g.tail, g.head, g.twin, g.face_of_dart
+        faces = g.faces
+        self.tri_ids = tri_ids = {}
+        self.owner_at = owner_at = [None] * g.dart_count
         for tid in cactus.triangle_ids:
             tri = g.triangles[tid]
-            self.tri_ids.setdefault(label[tri.vertices[0]], []).append(tid)
-            for e in tri.edges:
-                self.owner[e] = tid
+            tri_ids.setdefault(label[tri.vertices[0]], []).append(tid)
+            # The triangle's face is bounded by one dart of each of its edges.
+            for d in faces[tri.face_id].boundary:
+                owner_at[d] = owner_at[twin[d]] = tid
 
-        tail, head, twin, face_of = g.tail, g.head, g.twin, g.face_of_dart
-        self.inside_of: dict[int, list[int]] = {}
-        self.apart = DisjointSet(len(g.faces))
-        for d in range(g.dart_count):
-            r = label[tail[d]]
-            if r == label[head[d]]:
-                self.inside_of.setdefault(r, []).append(d)
+        self.inside_of = inside_of = {r: [] for r in members}
+        self.apart = DisjointSet(len(faces))
+        union = self.apart.union
+        for d, (u, v) in enumerate(zip(tail, head)):
+            r = label[u]
+            if r == label[v]:
+                inside_of[r].append(d)
             elif d < twin[d]:
-                self.apart.union(face_of[d], face_of[twin[d]])
+                union(face_of[d], face_of[twin[d]])
 
-        self.cross_at: dict[int, tuple[int, int]] = {}
-        self.survivor_of = [-1] * len(g.faces)
+        self.cross_at = cross_at = [None] * g.dart_count
+        self.survivor_of = survivor_of = [-1] * len(faces)
         self.maximal = True
-        for f in g.faces:
+        for f in faces:
             if not f.is_triangle:
                 continue
             # A triangular face is one walk a -> b -> c -> a.
@@ -326,13 +323,13 @@ class _HostTables:
             a, b, c = tail[d1], tail[d2], tail[d3]
             la, lb, lc = label[a], label[b], label[c]
             if la == lb == lc:
-                self.survivor_of[f.id] = la
+                survivor_of[f.id] = la
             elif la == lb:
-                self.cross_at[d1] = (f.id, c)
+                cross_at[d1] = (f.id, c)
             elif lb == lc:
-                self.cross_at[d2] = (f.id, a)
+                cross_at[d2] = (f.id, a)
             elif lc == la:
-                self.cross_at[d3] = (f.id, b)
+                cross_at[d3] = (f.id, b)
             else:
                 self.maximal = False
 
@@ -355,11 +352,11 @@ class _ComponentAnalysis:
         self.s = frozenset(self.members)
         # A singleton component has no triangle and no dart.
         self.tri_ids = tables.tri_ids.get(root, [])
-        self.inside = tables.inside_of.get(root, [])
+        self.inside = tables.inside_of[root]
 
     def report(self, verified: bool) -> ComponentReport:
         g, s = self.g, self.s
-        edges = self._edges()
+        edges, chords = self._edges()
         tris, notes = self._triangles(edges)
         if notes and not verified:
             # The shape constraints are consequences of 2-swap optimality,
@@ -370,7 +367,7 @@ class _ComponentAnalysis:
         occupied_darts = {
             cr.side_dart for ec in edges.values() for cr in ec.crosses
         }
-        skel, outer_len, outer_occ = self._regions(edges, occupied_darts)
+        skel, outer_len, outer_occ = self._regions(chords, occupied_darts)
         outer_free = outer_len - outer_occ
         all_heavy = bool(tris) and all(tc.heavy for tc in tris.values())
         # Labels need every triangle heavy and every shape check clean;
@@ -387,7 +384,7 @@ class _ComponentAnalysis:
             p_types[tc.cross_type] += 1
         a_types = [0, 0, 0]
         for ec in edges.values():
-            if ec.kind.startswith("type-"):
+            if ec.owner is None:
                 a_types[ec.cross_count] += 1
         a1, a2 = a_types[1], a_types[2]
 
@@ -571,50 +568,42 @@ class _ComponentAnalysis:
 
     # -- stage 1: edges ------------------------------------------------
 
-    def _edges(self) -> dict[tuple[int, int], EdgeClass]:
+    def _edges(self) -> tuple[dict[tuple[int, int], EdgeClass], set[int]]:
         """Each edge of the component with its cross triangles, in the order
-        of its dart u -> v (u < v), which is by u, then by u's rotation."""
+        of its dart u -> v (u < v), which is by u, then by u's rotation;
+        and the darts u -> v of the crossless chords."""
         g, t = self.g, self.t
         tail, head, twin = g.tail, g.head, g.twin
-        landing, cross_at = t.landing, t.cross_at
+        landing, cross_at, owner_at = t.landing, t.cross_at, t.owner_at
         table: dict[tuple[int, int], EdgeClass] = {}
+        chords: set[int] = set()
         for d in self.inside:
             u, v = tail[d], head[d]
             if v < u:
                 continue
-            crosses = []
-            for side in (d, twin[d]):
-                hit = cross_at.get(side)
-                if hit is None:
-                    continue
-                face_id, third = hit
-                crosses.append(
-                    CrossTriangle(
-                        face_id=face_id,
-                        support=(u, v),
-                        side_dart=side,
-                        third_vertex=third,
-                        landing=landing[third],
-                    )
+            e = (u, v)
+            crosses = ()
+            hit = cross_at[d]
+            if hit is not None:
+                crosses = (CrossTriangle(hit[0], e, d, hit[1], landing[hit[1]]),)
+            back = twin[d]
+            hit = cross_at[back]
+            if hit is not None:
+                crosses += (CrossTriangle(hit[0], e, back, hit[1], landing[hit[1]]),)
+            owner = owner_at[d]
+            if owner is None:
+                kind = _CHORD_KINDS[len(crosses)]
+                if not crosses:
+                    chords.add(d)
+            elif len(crosses) > 1:
+                raise IdentityViolationError(
+                    f"cactus edge {e} reports {len(crosses)} cross "
+                    "triangles; one side is its own triangle face"
                 )
-            owner = t.owner.get((u, v))
-            if owner is not None:
-                kind = "cactus"
-                if len(crosses) > 1:
-                    raise IdentityViolationError(
-                        f"cactus edge {(u, v)} reports {len(crosses)} cross "
-                        "triangles; one side is its own triangle face"
-                    )
             else:
-                kind = f"type-{len(crosses)}"
-            table[(u, v)] = EdgeClass(
-                edge=(u, v),
-                kind=kind,
-                owner=owner,
-                cross_count=len(crosses),
-                crosses=tuple(crosses),
-            )
-        return table
+                kind = "cactus"
+            table[e] = EdgeClass(e, kind, owner, len(crosses), crosses)
+        return table, chords
 
     # -- stage 2: triangles ---------------------------------------------
 
@@ -634,64 +623,54 @@ class _ComponentAnalysis:
         if crossed:
             _, pos, _, slices = self.c.tour()
             crossed = [(b, n, pos[b[0]], pos[b[1]]) for b, n in crossed]
+        triangles = self.g.triangles
         table: dict[int, TriangleClass] = {}
         notes: list[str] = []
         for tid in self.tri_ids:
-            tri = self.g.triangles[tid]
-            spanning: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-            spanning = dict.fromkeys(tri.edges, ())
-            family = dict.fromkeys(tri.edges, 0)  # crosses on spanning chords
+            tri = triangles[tid]
+            tri_edges = tri.edges
+            spans: tuple[list[tuple[int, int]], ...] = ([], [], [])
+            family = [0, 0, 0]  # crosses on each edge's spanning chords
             if crossed:
                 cut = slices[tid]
                 # The parts are numbered 0, 1, 2, so the edge joining parts
-                # x != y is the one opposite the corner in part 3 - x - y.
-                opposite = {}
-                for e in tri.edges:
-                    corner = next(v for v in tri.vertices if v not in e)
-                    opposite[_split_part(cut, pos[corner])] = e
-                spans: dict[tuple[int, int], list[tuple[int, int]]] = {
-                    e: [] for e in tri.edges
-                }
+                # x != y is the one facing the corner in part 3 - x - y.  The
+                # edges (a, b), (a, c), (b, c) face the corners c, b, a.
+                facing = [0, 0, 0]
+                for i, v in zip((2, 1, 0), tri.vertices):
+                    facing[_split_part(cut, pos[v])] = i
                 for b, n, pb, pc in crossed:
                     x, y = _split_part(cut, pb), _split_part(cut, pc)
                     if x != y:
-                        e = opposite[3 - x - y]
-                        spans[e].append(b)
-                        family[e] += n
-                spanning = {e: tuple(bs) for e, bs in spans.items()}
-            own = [edges[e].cross_count for e in tri.edges]
-            cross_type = 3 - own.count(0)
-            load = {e: n + family[e] for e, n in zip(tri.edges, own)}
-            total = sum(load.values())
-            ranked = sorted(load.values(), reverse=True)
+                        i = facing[3 - x - y]
+                        spans[i].append(b)
+                        family[i] += n
+            own = [edges[e].cross_count for e in tri_edges]
+            loads = [n + f for n, f in zip(own, family)]
+            load = dict(zip(tri_edges, loads))
+            total = sum(loads)
+            ranked = sorted(loads, reverse=True)
             heavy = total >= 4 or (ranked[0] >= 3 and ranked[1] == 0)
             base = free_v = None
             if heavy:
-                base = min(e for e in tri.edges if load[e] == ranked[0])
+                base = min(e for e, n in load.items() if n == ranked[0])
                 free_v = next(v for v in tri.vertices if v not in base)
-            if not heavy:
+            else:
                 # A spanning-chord family of three or more crosses forces
                 # heaviness under either clause, so light triangles can
                 # only ever see at most two per edge.
-                for e, n in family.items():
+                for e, n in zip(tri_edges, family):
                     if n > 2:
                         raise IdentityViolationError(
                             f"light triangle {tid} has {n} crosses on the "
                             f"spanning chords of edge {e}"
                         )
-            table[tid] = TriangleClass(
-                triangle_id=tid,
-                vertices=tri.vertices,
-                cross_type=cross_type,
-                heavy=heavy,
-                total_load=total,
-                load=load,
-                spanning_chords=spanning,
-                base_edge=base,
-                free_vertex=free_v,
+            spanning = dict(zip(tri_edges, map(tuple, spans)))
+            table[tid] = tc = TriangleClass(
+                tid, tri.vertices, 3 - own.count(0), heavy, total, load, spanning, base, free_v
             )
             if heavy:
-                notes.extend(self._heavy_shape_notes(table[tid], edges))
+                notes.extend(self._heavy_shape_notes(tc, edges))
         return table, notes
 
     @staticmethod
@@ -729,23 +708,25 @@ class _ComponentAnalysis:
     # -- stage 3: skeleton ----------------------------------------------
 
     def _regions(
-        self, edges: dict[tuple[int, int], EdgeClass], occupied_darts: set[int]
+        self, chords: set[int], occupied_darts: set[int]
     ) -> tuple[Skeleton, int, int]:
         """The skeleton, and the length and occupied sides of the outer face
         of the component subgraph (the region holding the host outer face).
 
         Deleting an edge merges the host faces on its two sides: first the
         edges leaving the component, which gives the component subgraph's
-        faces, then the type-0 chords, which gives the skeleton's.
+        faces, then the crossless chords (one dart each in chords), which
+        gives the skeleton's.
         """
         g, t = self.g, self.t
         twin, face_of = g.twin, g.face_of_dart
         regions = t.apart.copy()
+        union = regions.union
         for root, darts in t.inside_of.items():
             if root != self.root:
                 for d in darts:
                     if d < twin[d]:
-                        regions.union(face_of[d], face_of[twin[d]])
+                        union(face_of[d], face_of[twin[d]])
         inside = self.inside
         region = regions.labels()  # per host face
         outer = region[g.outer_face_id]
@@ -755,33 +736,34 @@ class _ComponentAnalysis:
                 "outer region of the component subgraph has no boundary dart"
             )
 
-        chords = {g.dart_id(*e) for e, ec in edges.items() if ec.kind == "type-0"}
         if chords:
             for d in chords:
-                regions.union(face_of[d], face_of[twin[d]])
+                union(face_of[d], face_of[twin[d]])
             region = regions.labels()
+            gone = chords.union(twin[d] for d in chords)
+            inside = [d for d in inside if d not in gone]
         darts_of: dict[int, list[int]] = {}
         for d in inside:
-            if d not in chords and twin[d] not in chords:
-                darts_of.setdefault(region[face_of[d]], []).append(d)
+            darts_of.setdefault(region[face_of[d]], []).append(d)
         # Roots come up in order of their faces' smallest darts; an edgeless
         # skeleton (a singleton component) is one face.
         darts_of = darts_of or {region[g.outer_face_id]: []}
         fid_of = {root: fid for fid, root in enumerate(darts_of)}
-        host_faces: list[set[int]] = [set() for _ in darts_of]
+        host_faces: list[list[int]] = [[] for _ in darts_of]
         for hf, root in enumerate(region):
             fid = fid_of.get(root)
             if fid is None:
                 raise IdentityViolationError(
                     f"host face {hf} merged into a region with no skeleton dart"
                 )
-            host_faces[fid].add(hf)
+            host_faces[fid].append(hf)
 
         cactus_face_of: dict[int, int] = {}
+        triangles = g.triangles
         for tid in self.tri_ids:
-            hf = g.triangles[tid].face_id
+            hf = triangles[tid].face_id
             cactus_face_of[tid] = fid = fid_of[region[hf]]
-            if host_faces[fid] != {hf}:
+            if host_faces[fid] != [hf]:
                 raise IdentityViolationError(
                     f"face of cactus triangle {tid} merged with other regions"
                 )
@@ -811,7 +793,7 @@ class _ComponentAnalysis:
     ) -> tuple[SuperFace, ...]:
         """Occupancy, capacity and gain accounting per skeleton super-face,
         labelled when labels_on and graded against its floor when graded."""
-        g, survivor_of = self.g, self.t.survivor_of
+        tail, head, survivor_of = self.g.tail, self.g.head, self.t.survivor_of
 
         records = []
         for fid in skel.super_face_ids:
@@ -828,7 +810,7 @@ class _ComponentAnalysis:
             }
             pairs: list[tuple[int, int, int]] = []
             for d in skel.face_darts[fid]:
-                u, v = g.tail[d], g.head[d]
+                u, v = tail[d], head[d]
                 e = (u, v) if u < v else (v, u)
                 hot = d in occupied_darts
                 occ += hot
@@ -1012,8 +994,9 @@ def component_report(
     if not s:
         raise NotAComponentError("the empty set is not a cactus component")
     for v in s:
-        if not 0 <= v < g.n:
-            raise NotAComponentError(f"vertex {v} is not a vertex of the graph")
+        # True == 1, so a bool would otherwise stand for vertex 1.
+        if type(v) is not int or not 0 <= v < g.n:
+            raise NotAComponentError(f"vertex {v!r} is not a vertex of the graph")
     tables = _HostTables(g, cactus)
     root = tables.label[min(s)]
     if s != frozenset(tables.members[root]):

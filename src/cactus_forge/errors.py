@@ -105,5 +105,9 @@ class TooSmallError(CactusForgeError, ValueError):
     """A generator was given too few vertices, or a negative flip count."""
 
 
+class InvalidSpecError(CactusForgeError, ValueError):
+    """A generator spec holds a count or seed that is not an int."""
+
+
 class UnknownFamilyError(CactusForgeError, ValueError):
     """Unknown generator family or fixture name."""

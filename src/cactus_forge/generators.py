@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import TooSmallError, UnknownFamilyError
+from .errors import InvalidSpecError, TooSmallError, UnknownFamilyError
 from .plane_graph import PlaneGraph
 
 __all__ = [
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Parameters naming one corpus instance.
 
     n is the vertex count for sized families, the rim-plus-hub count for
@@ -73,13 +72,18 @@ class GeneratorSpec:
 
 
 def build(spec: GeneratorSpec) -> PlaneGraph:
-    try:
-        fn = FAMILIES[spec.family]
-    except KeyError:
+    """The graph spec names.  n, seed, width, height and flips (unless None)
+    must be ints; a bool is refused, as seed=True would build seed 1."""
+    fn = FAMILIES.get(spec.family) if type(spec.family) is str else None
+    if fn is None:
         raise UnknownFamilyError(
             f"unknown generator family {spec.family!r}; "
             f"known: {', '.join(sorted(FAMILIES))}"
-        ) from None
+        )
+    for field in ("n", "seed", "width", "height", "flips"):
+        value = getattr(spec, field)
+        if type(value) is not int and not (field == "flips" and value is None):
+            raise InvalidSpecError(f"{field} must be an int, got {value!r}")
     return fn(spec)
 
 

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cactus import TriangularCactus
 from .errors import IdentityViolationError
@@ -54,16 +53,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwapMove:
+class SwapMove(NamedTuple):
     """Remove the cactus triangles in `remove`, add the candidates in `add`."""
 
     remove: tuple[int, ...]
     add: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """t: swap size (1 or 2).  seed: greedy shuffle seed, unused when
     ``local_search`` is given a start cactus.
 
@@ -75,8 +72,7 @@ class SearchConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SearchTrace:
+class SearchTrace(NamedTuple):
     initial_delta: int
     final_delta: int
     moves_applied: tuple[SwapMove, ...]

@@ -42,8 +42,7 @@ arbitrary graph, which needs no embedding at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cactus import triples_form_cactus
 from .errors import BudgetExceededError, CactusForgeError, IdentityViolationError
@@ -67,8 +66,7 @@ WEIGHT_SEED = 2018
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     optimum: int  # rank / 2: never above beta
     ceiling: int  # cactus_ceiling of the candidates
     exhausted: bool  # optimum reached the ceiling, so it is certainly beta

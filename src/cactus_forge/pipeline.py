@@ -21,11 +21,9 @@ import csv
 import json
 import os
 import time
-import traceback
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import analyzer
 from .analyzer import CactusReport, analyze_cactus
@@ -58,8 +56,7 @@ __all__ = [
 # single-instance pipelines
 
 
-@dataclass(frozen=True)
-class MpsResult:
+class MpsResult(NamedTuple):
     """Planar spanning subgraph built from a cactus plus a forest.
 
     The subgraph keeps every cactus edge and adds, per pair of cactus
@@ -79,8 +76,7 @@ class MpsResult:
     meets_four_ninths: bool | None  # None when the input is not a triangulation
 
 
-@dataclass(frozen=True)
-class MptResult:
+class MptResult(NamedTuple):
     """The cactus as a plane subgraph, with its face count recounted."""
 
     cactus_triples: tuple[tuple[int, int, int], ...]
@@ -195,8 +191,7 @@ def mpt_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MptResult
 # corpus harness
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     """One corpus instance's numbers.
 
     Wall-clock fields are excluded from the CSV (see CSV_COLUMNS) so the
@@ -240,8 +235,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+class CorpusResult(NamedTuple):
     rows: tuple[BenchRow, ...]
     failures: tuple[tuple[str, str], ...]  # (instance label, message)
     reports: tuple[dict, ...]  # JSON-ready analyzer sidecar, corpus order
@@ -254,6 +248,12 @@ class CorpusResult:
     @property
     def identity_failures(self) -> tuple[tuple[str, str], ...]:
         return tuple(f for f in self.failures if f[1].startswith("identity:"))
+
+
+def _format_exc() -> str:
+    import traceback  # only a failed row loads it, not the package import
+
+    return traceback.format_exc()
 
 
 def report_to_dict(report: CactusReport) -> dict:
@@ -361,7 +361,7 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
         detail = str(exc)
         if not isinstance(exc, CactusForgeError):
             detail = f"{type(exc).__name__}: {detail}"
-        sidecar["traceback"] = traceback.format_exc()
+        sidecar["traceback"] = _format_exc()
         row = BenchRow(label, 0, 0, 0, 0, None, None, None, None, None,
                        False, (f"generate: {detail}",))
         return row, sidecar
@@ -430,10 +430,10 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
             failures.append(f"oracle: 2*delta_greedy {2 * d_greedy} < beta {beta}")
     except IdentityViolationError as exc:
         failures.append(f"identity: {exc}")
-        sidecar["traceback"] = traceback.format_exc()
+        sidecar["traceback"] = _format_exc()
     except Exception as exc:
         failures.append(f"error: {type(exc).__name__}: {exc}")
-        sidecar["traceback"] = traceback.format_exc()
+        sidecar["traceback"] = _format_exc()
 
     t_solve = t_greedy + t_ls1 + t_ls2
     sidecar["wall"] = {

@@ -46,8 +46,18 @@ class DisjointSet:
         return True
 
     def labels(self) -> list[int]:
-        """One label per element, equal exactly for elements of one set."""
-        return [self.find(x) for x in range(len(self.parent))]
+        """One label per element, equal exactly for elements of one set:
+        its root, as ``find`` gives it.
+
+        One pass over a copy of the parents: each walk up may step
+        through entries already set to their root, which shortens it.
+        """
+        label = self.parent[:]
+        for x, r in enumerate(label):
+            while label[r] != r:
+                r = label[r]
+            label[x] = r
+        return label
 
     def copy(self) -> "DisjointSet":
         dup = DisjointSet.__new__(DisjointSet)

@@ -6,7 +6,6 @@ triangles.  Their numbers were frozen from the first verified run and
 cross-checked by hand against the counting rules.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -24,7 +23,7 @@ from cactus_forge import (
     greedy_initial,
     local_search,
 )
-from cactus_forge.analyzer import _gain_floor_half
+from cactus_forge.analyzer import Verdict, _gain_floor_half
 from cactus_forge.errors import NotAComponentError
 from cactus_forge.pipeline import report_to_dict
 from reference_split import spanning_chords
@@ -219,6 +218,15 @@ class TestComponentReport:
         with pytest.raises(NotAComponentError):
             # strict subset of a component
             component_report(g, c, [0, 1, 3], verified=True)
+
+    def test_component_vertices_must_be_ints(self, heavy_pair):
+        g, c = heavy_pair.g, heavy_pair.cactus
+        assert component_report(g, c, [0, 1, 2, 3, 4], verified=True).ok
+        # True == 1, so without a type check it stood for vertex 1.
+        with pytest.raises(NotAComponentError, match="vertex True "):
+            component_report(g, c, [0, True, 2, 3, 4], verified=True)
+        with pytest.raises(NotAComponentError, match=r"vertex 2\.0 "):
+            component_report(g, c, [2.0], verified=True)
 
 
 class TestWholeCactus:
@@ -438,12 +446,12 @@ def test_maximal_is_read_off_the_face_pass():
 
 
 def _canonical(obj):
-    """Every field of a report as JSON: dataclasses by class and field,
+    """Every field of a report as JSON: records by class and field,
     mappings in iteration order, sets sorted, tuples told from lists."""
-    if dataclasses.is_dataclass(obj):
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
         return [
             type(obj).__name__,
-            [[f.name, _canonical(getattr(obj, f.name))] for f in dataclasses.fields(obj)],
+            [[f, _canonical(getattr(obj, f))] for f in obj._fields],
         ]
     if isinstance(obj, dict):
         return ["dict", [[_canonical(k), _canonical(v)] for k, v in obj.items()]]
@@ -495,3 +503,29 @@ def test_full_reports_match_the_frozen_digest(heavy_cases):
     assert len(cases) == 107
     assert (components, crossed) == (156, 72)
     assert digest.hexdigest() == FULL_REPORTS_SHA256
+
+
+def test_records_stay_read_only(heavy_pair):
+    # The records are NamedTuples: assigning to a field raises, as it did
+    # when they were frozen dataclasses, and they read as tuples.
+    from cactus_forge import SearchConfig, exact_beta_faces
+
+    g, c = heavy_pair.g, heavy_pair.cactus
+    report = analyze_cactus(g, c)
+    comp = report.components[0]
+    edge = next(ec for ec in comp.edges.values() if ec.crosses)
+    _, trace = local_search(g, SearchConfig(t=2, seed=3))
+    records = [
+        (report, "maximal"), (report.verdicts[0], "ok"), (comp, "anchored_count"),
+        (edge, "kind"), (edge.crosses[0], "landing"), (comp.triangles[c.triangle_ids[0]], "heavy"),
+        (comp.skeleton, "outer_super_face"), (comp.super_faces[0], "gain_half"),
+        (trace, "moves_examined"), (SwapMove((0,), (1, 2)), "add"),
+        (SearchConfig(), "t"), (GeneratorSpec("wheel", n=5), "n"),
+        (exact_beta_faces(g), "optimum"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) == record[record._fields.index(field)]
+    assert SwapMove((0,), (1, 2)) == ((0,), (1, 2))
+    assert Verdict("x", True, True)._replace(ok=False) == ("x", False, True, "")

@@ -7,8 +7,14 @@ import pytest
 
 from cactus_forge import GeneratorSpec, build_instance
 from cactus_forge.cli import main
-from cactus_forge.errors import TooSmallError, UnknownFamilyError
+from cactus_forge.errors import (
+    CactusForgeError,
+    InvalidSpecError,
+    TooSmallError,
+    UnknownFamilyError,
+)
 from cactus_forge.generators import FAMILIES
+from cactus_forge.pipeline import verify_corpus
 
 
 def test_family_registry():
@@ -22,6 +28,32 @@ def test_family_registry():
     }
     with pytest.raises(UnknownFamilyError):
         build_instance(GeneratorSpec("moebius_kantor", n=8))
+    # A non-str family is no family name either, not a bare TypeError.
+    with pytest.raises(UnknownFamilyError, match=r"\['x'\]"):
+        build_instance(GeneratorSpec(["x"], n=8))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 6.0), ("n", True), ("seed", True), ("seed", 1.0), ("width", 3.0),
+     ("height", False), ("flips", 4.0), ("flips", True)],
+)
+def test_spec_counts_must_be_ints(field, value):
+    # seed=True used to build seed 1's graph under the label ...:sTrue.
+    fields = {"n": 6, "seed": 1, field: value}
+    for family in ("random_maximal_planar", "grid_triangulation"):
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be an int, got {value!r}$"):
+            build_instance(GeneratorSpec(family, **fields))
+
+
+def test_spec_errors_are_bad_input():
+    # A library error and a ValueError, so the CLI exits 4 on it, and the
+    # sweep records it on the row under the label the spec gives.
+    assert issubclass(InvalidSpecError, CactusForgeError)
+    assert issubclass(InvalidSpecError, ValueError)
+    res = verify_corpus([GeneratorSpec("random_maximal_planar", n=6, seed=True)])
+    assert res.rows[0].instance == "random_maximal_planar:n6:sTrue"
+    assert res.rows[0].failures == ("generate: seed must be an int, got True",)
 
 
 # sha256 of json.dumps(rotations), pinned when the generator's face
@@ -145,4 +177,4 @@ def test_labels():
     for spec in (GeneratorSpec("random_maximal_planar", n=16, seed=5),
                  GeneratorSpec("platonic", name="octahedron"),
                  GeneratorSpec("grid_triangulation", width=3, height=3)):
-        assert spec.label() is GeneratorSpec(**vars(spec)).label()
+        assert spec.label() is GeneratorSpec(**spec._asdict()).label()

@@ -1,8 +1,8 @@
 """End-to-end pipelines, the corpus harness, and the command line."""
 
+import ast
 import concurrent.futures
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -335,6 +335,24 @@ class TestCorpusHarness:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip() == "False"
 
+    def test_import_does_not_load_dataclasses(self):
+        # Records are NamedTuples, and the traceback module loads only on a
+        # failed row.  Modules that site loaded before the import do not
+        # count.
+        probe = (
+            "import sys; before = set(sys.modules); "
+            "import cactus_forge, cactus_forge.cli; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        src = str(Path(pipeline.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        loaded = set(ast.literal_eval(done.stdout))
+        assert "cactus_forge.analyzer" in loaded
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}
+        assert not loaded & heavy, sorted(loaded & heavy)
+
     def test_sidecar_roundtrips(self, tmp_path):
         res = verify_corpus(acceptance_corpus(rmp_count=3)[:3])
         path = tmp_path / "reports.json"
@@ -458,7 +476,7 @@ class TestCorpusHarness:
         # Below the ceiling beta is still reported, marked uncertain.
         def below(g):
             r = oracle.exact_beta_faces(g)
-            return dataclasses.replace(r, ceiling=r.ceiling + 1, exhausted=False)
+            return r._replace(ceiling=r.ceiling + 1, exhausted=False)
 
         monkeypatch.setattr(pipeline, "exact_beta_faces", below)
         res = verify_corpus(corpus[:1])

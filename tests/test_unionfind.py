@@ -90,3 +90,13 @@ def test_copy_is_independent():
     labels = uf.labels()
     assert labels[0] == labels[1] and len(set(labels)) == 3
     assert uf.size[uf.find(0)] == 2
+
+
+@given(_union_sequences())
+def test_labels_are_the_roots(case):
+    # labels() takes one pass over the parents; it must give find's root.
+    n, pairs = case
+    uf = DisjointSet(n)
+    for a, b in pairs:
+        uf.union(a, b)
+        assert uf.labels() == [uf.find(x) for x in range(n)]

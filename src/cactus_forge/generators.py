@@ -298,13 +298,13 @@ _PLATONIC_FACES = {
 
 def platonic(name: str) -> PlaneGraph:
     """Triangulated platonic solid by name, first listed face as outer."""
-    try:
-        n, faces = _PLATONIC_FACES[name]
-    except KeyError:
+    entry = _PLATONIC_FACES.get(name) if type(name) is str else None
+    if entry is None:
         raise UnknownFamilyError(
             f"unknown platonic solid {name!r}; "
             f"known: {', '.join(sorted(_PLATONIC_FACES))}"
-        ) from None
+        )
+    n, faces = entry
     rot = _rotations_from_faces(n, faces)
     a, b, _ = faces[0]
     return PlaneGraph(n, rot, (a, b))

@@ -10,33 +10,31 @@ such set has β members, and the skew-symmetric matrix
     M = Σ x_t (b_t c_tᵀ − c_t b_tᵀ)
 
 has rank 2β when the weights x_t are independent indeterminates.  Here
-the x_t are drawn over GF(2⁶¹−1) from a ``random.Random`` with a fixed
-seed, so every result is deterministic.
+x_t is the t-th draw over GF(2⁶¹−1) of a ``random.Random`` with a fixed
+seed, drawn once per process, so every result is deterministic.
 
-Certainty.  Substituting numbers for the x_t can only lose rank, so
-rank/2 never exceeds β.  No cactus exceeds the ceiling either, the sum
-of ⌊(s−1)/2⌋ over the components of the candidates' edges with s
-vertices each (``cactus_ceiling``, cached per host as ``g.ceiling``).
-When rank/2 reaches it, the value is certain (``exhausted``).  Below
-it, the value is short only if the weights are a root of a nonzero
-Pfaffian minor of M, a polynomial of degree β in the x_t; for random
-weights that happens with probability at most β/p (Schwartz–Zippel).
+Certainty.  The elimination is exact in GF(2⁶¹−1), and substituting
+numbers for the x_t can only lose rank, so rank/2 never exceeds β.  No
+cactus exceeds the ceiling either, the sum of ⌊(s−1)/2⌋ over the
+components of the candidates' edges with s vertices each
+(``cactus_ceiling``, cached per host as ``g.ceiling``).  When rank/2
+reaches it, the value is certain (``exhausted``).  Below it, the value
+is short only if the weights are a root of a nonzero Pfaffian minor of
+M, a polynomial of degree β in the x_t; for random weights that
+happens with probability at most β/p (Schwartz–Zippel).
 
-M is block diagonal over the components of the candidate vertices, and
-within a component the vectors e_u − e_v span a space one dimension
-smaller than its vertex count.  So each component gets its own matrix,
-with one vertex's coordinate dropped, of size s − 1.
+Size.  M has a row per vertex id and a nonzero pair per candidate edge;
+dropping a coordinate per component, a map injective on the span of the
+e_u − e_v, would change no rank.  ``_skew_rank`` pivots on 2 × 2 blocks
+(Bunch 1982), sparsest rows first, so a step costs the product of two
+row lengths, not s², components never mix, and the order changes no rank.
 
 The value takes one rank evaluation.  A witness, a maximum cactus
 itself, comes from self-reduction (``max_cactus``): drop a candidate
-whenever the rest still has rank 2β, with the same weights throughout.
-It costs at most one rank evaluation per candidate besides the
-value's, and a budget of rank evaluations, checked against that count
-before the search starts, caps it.
-
-Two candidate universes are offered: the triangular faces of a plane
-graph (matching the local search's move set) and all 3-cliques of an
-arbitrary graph, which needs no embedding at all.
+whenever the rest, with the same weights, keeps rank 2β.  That is one
+evaluation per candidate at most, capped by a budget checked before
+the search starts.  The candidates are the triangular faces of a plane
+graph (the local search's move set) or all 3-cliques of any graph.
 """
 
 from __future__ import annotations
@@ -45,9 +43,9 @@ import random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cactus import triples_form_cactus
-from .errors import BudgetExceededError, CactusForgeError, IdentityViolationError
+from .errors import (BudgetExceededError, CactusForgeError, IdentityViolationError,
+                     InvalidCactusError)
 from .plane_graph import PlaneGraph, cactus_ceiling
-from .unionfind import DisjointSet
 
 __all__ = [
     "OracleResult",
@@ -64,6 +62,7 @@ PRIME = (1 << 61) - 1
 WEIGHT_SEED = 2018
 
 Triple = tuple[int, int, int]
+Graph = PlaneGraph | Mapping[int, Iterable[int]] | Iterable[tuple[int, int]]
 
 
 class OracleResult(NamedTuple):
@@ -73,71 +72,81 @@ class OracleResult(NamedTuple):
     nodes_explored: int  # rank evaluations
 
 
-def _rank(rows: list[list[int]]) -> int:
-    """Rank over GF(PRIME) by Gaussian elimination; consumes ``rows``.
+_WEIGHTS: tuple[int, ...] = ()  # the weight stream's first draws
 
-    Rows still waiting for a pivot are zero in every column before the
-    current one, so each update only rewrites the columns after it.
+
+def _weights(m: int) -> tuple[int, ...]:
+    """At least m draws, x_t being draw t, drawn on first use, not at import."""
+    global _WEIGHTS
+    weights = _WEIGHTS  # read once: another thread may rebind it meanwhile
+    if len(weights) < m:  # redrawn whole and bound at once: threads never interleave
+        rng = random.Random(WEIGHT_SEED)
+        weights = _WEIGHTS = tuple(rng.randrange(1, PRIME) for _ in range(m))
+    return weights
+
+
+def _skew_rank(adj: dict[int, dict[int, int]]) -> int:
+    """Rank over GF(PRIME) of M, ``adj[v][k] = M[v][k]`` for the nonzeros.
+
+    A pivot on i and j, a = M[i][j], adds 2 to the rank and leaves
+    S[k][l] = M[k][l] + (M[k][j]M[l][i] − M[k][i]M[l][j]) / a: each (k, l)
+    of N(j) × N(i) adds its term to S[k][l] and takes it from S[l][k].
+    Consumes ``adj``; zeros are deleted.
     """
     rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        for k, row in enumerate(rows):
-            if row[col]:
-                break
-        else:
+    while adj:
+        i = min(adj, key=lambda v: len(adj[v]))
+        row_i = adj.pop(i)
+        if not row_i:
             continue
-        pivot = rows.pop(k)
-        rank += 1
-        inv = pow(pivot[col], -1, PRIME)
-        tail = [b * inv % PRIME for b in pivot[col + 1:]]
-        for row in rows:
-            f = row[col]
-            if f:
-                row[col + 1:] = [(a - f * b) % PRIME for a, b in zip(row[col + 1:], tail)]
+        j = min(row_i, key=lambda v: len(adj[v]))
+        row_j = adj.pop(j)
+        inv = pow(row_i.pop(j), -1, PRIME)
+        del row_j[i]
+        for k in row_i:
+            del adj[k][i]
+        for k in row_j:
+            del adj[k][j]
+        rank += 2
+        for k, mjk in row_j.items():  # M[k][j]M[l][i] = M[j][k]M[i][l]
+            f = mjk * inv % PRIME
+            row_k = adj[k]
+            for l, mil in row_i.items():
+                if l != k:
+                    s = (row_k.get(l, 0) + f * mil) % PRIME
+                    if s:
+                        row_k[l] = s
+                        adj[l][k] = PRIME - s
+                    else:
+                        del row_k[l], adj[l][k]
     return rank
 
 
 class _Parity:
-    """The candidates' components, ceiling and weights, fixed once."""
+    """The candidates, their ceiling and their weights."""
 
     def __init__(self, candidates: Sequence[Triple], ceiling: int):
-        verts = sorted({v for t in candidates for v in t})
-        index = {v: i for i, v in enumerate(verts)}
-        uf = DisjointSet(len(verts))
-        for u, v, w in candidates:
-            uf.union(index[u], index[v])
-            uf.union(index[u], index[w])
-        label = uf.labels()
-        # Each vertex's row within its component's matrix; the root's
-        # coordinate is the one dropped, marked -1, so a component of s
-        # vertices has a matrix of size s - 1.
-        row = [-1] * len(verts)
-        self.dims: dict[int, int] = {}
-        for i, root in enumerate(label):
-            if i != root:
-                row[i] = self.dims.get(root, 0)
-                self.dims[root] = row[i] + 1
+        self.candidates = candidates
         self.ceiling = ceiling
-        self.local = [
-            (label[index[u]], row[index[u]], row[index[v]], row[index[w]])
-            for u, v, w in candidates
-        ]
-        rng = random.Random(WEIGHT_SEED)
-        self.weights = [rng.randrange(1, PRIME) for _ in candidates]
+        self.weights = _weights(len(candidates))
 
     def rank(self, keep: Iterable[int]) -> int:
         """Rank of M over the candidates numbered in ``keep``."""
-        mats = {root: [[0] * d for _ in range(d)] for root, d in self.dims.items()}
+        adj: dict[int, dict[int, int]] = {}
         for t in keep:
-            comp, u, v, w = self.local[t]
-            m, x = mats[comp], self.weights[t]
+            u, v, w = self.candidates[t]
+            x = self.weights[t]
             # b cᵀ − c bᵀ for b = e_u − e_v, c = e_u − e_w is +1 at (u, v),
             # (v, w) and (w, u), and -1 at their transposes.
             for i, j in ((u, v), (v, w), (w, u)):
-                if i >= 0 and j >= 0:
-                    m[i][j] = (m[i][j] + x) % PRIME
-                    m[j][i] = (m[j][i] - x) % PRIME
-        return sum(_rank(m) for m in mats.values())
+                row_i = adj.setdefault(i, {})
+                s = (row_i.get(j, 0) + x) % PRIME
+                if s:
+                    row_i[j] = s
+                    adj.setdefault(j, {})[i] = PRIME - s
+                else:
+                    del row_i[j], adj[j][i]
+        return _skew_rank(adj)
 
     def result(self, rank: int, evaluations: int) -> OracleResult:
         optimum = rank // 2
@@ -149,42 +158,25 @@ def face_candidates(g: PlaneGraph) -> list[Triple]:
     return [t.vertices for t in g.triangles]
 
 
-def _adjacency_of(
-    graph: PlaneGraph | Mapping[int, Iterable[int]] | Iterable[tuple[int, int]],
-) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
+def clique_candidates(graph: Graph) -> list[Triple]:
+    """All 3-cliques of a graph, as sorted vertex triples, in sorted order.
+
+    Accepts a PlaneGraph, an adjacency mapping, or a bare edge list; no
+    embedding is used, so non-planar graphs are fine.
+    """
     if isinstance(graph, PlaneGraph):
         pairs: Iterable[tuple[int, int]] = graph.edges
     elif isinstance(graph, Mapping):
         pairs = [(u, v) for u, nbrs in graph.items() for v in nbrs]
     else:
         pairs = graph
+    adj: dict[int, set[int]] = {}
     for u, v in pairs:
-        if u == v:
-            continue
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
-def clique_candidates(
-    graph: PlaneGraph | Mapping[int, Iterable[int]] | Iterable[tuple[int, int]],
-) -> list[Triple]:
-    """All 3-cliques of a graph, as sorted vertex triples.
-
-    Accepts a PlaneGraph, an adjacency mapping, or a bare edge list; no
-    embedding is used, so non-planar graphs are fine.
-    """
-    adj = _adjacency_of(graph)
-    cands: list[Triple] = []
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            if v <= u:
-                continue
-            for w in sorted(adj[u] & adj[v]):
-                if w > v:
-                    cands.append((u, v, w))
-    return cands
+        if u != v:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return sorted((u, v, w) for u in adj for v in adj[u] if u < v
+                  for w in adj[u] & adj[v] if v < w)
 
 
 def _value(candidates: Sequence[Triple], ceiling: int) -> OracleResult:
@@ -197,9 +189,7 @@ def exact_beta_faces(g: PlaneGraph) -> OracleResult:
     return _value(face_candidates(g), g.ceiling)
 
 
-def exact_beta_all_triangles(
-    graph: PlaneGraph | Mapping[int, Iterable[int]] | Iterable[tuple[int, int]],
-) -> OracleResult:
+def exact_beta_all_triangles(graph: Graph) -> OracleResult:
     """β over all 3-cliques of an arbitrary graph (see clique_candidates)."""
     candidates = clique_candidates(graph)
     return _value(candidates, cactus_ceiling(candidates))
@@ -214,14 +204,20 @@ def max_cactus(
     rank of the rest stays 2β.  Once exactly β are left, all of them
     are needed.  So m candidates take at most m + 1 rank evaluations,
     the value's own included, and ``budget`` caps that count: it must
-    be at least 1, and when m + 1 exceeds it, BudgetExceededError is
-    raised after the value's evaluation, with the value, before any
-    other.  A result that is not a cactus of β triangles raises
-    IdentityViolationError.
+    be an int of at least 1, and when m + 1 exceeds it,
+    BudgetExceededError is raised after the value's evaluation, with the
+    value, before any other.  A candidate that is not three distinct int
+    vertices raises InvalidCactusError.  A result that is not a cactus
+    of β triangles raises IdentityViolationError.
     """
-    # Below 1 the value's own evaluation would already overrun the cap.
-    if budget < 1:
+    if type(budget) is not int:
+        raise CactusForgeError(f"--budget must be an int, got {budget!r}")
+    if budget < 1:  # the value's own evaluation would overrun the cap
         raise CactusForgeError(f"--budget must be at least 1, got {budget}")
+    for t in candidates:  # the caller's, so checked before anything reads them
+        if not (isinstance(t, (tuple, list)) and len(t) == 3
+                and all(type(v) is int for v in t) and len(set(t)) == 3):
+            raise InvalidCactusError(f"candidate {t!r} is not three distinct int vertices")
     parity = _Parity(candidates, cactus_ceiling(candidates))
     full = parity.rank(range(len(candidates)))
     if len(candidates) + 1 > budget:
@@ -236,7 +232,7 @@ def max_cactus(
         rest = [s for s in keep if s != t]
         if parity.rank(rest) == full:
             keep = rest
-    witness = tuple(sorted(candidates[t] for t in keep))
+    witness = tuple(sorted(tuple(candidates[t]) for t in keep))
     if len(witness) != beta or not triples_form_cactus(witness):
         raise IdentityViolationError(
             f"self-reduction left {len(witness)} candidates for beta {beta}, "

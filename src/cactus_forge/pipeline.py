@@ -17,13 +17,11 @@ runs with the same corpus and config.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import analyzer
 from .analyzer import CactusReport, analyze_cactus
@@ -34,6 +32,9 @@ from .local_search import SearchConfig, greedy_initial, local_search
 from .oracle import exact_beta_faces
 from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
+
+if TYPE_CHECKING:  # fractions and csv load where used, keeping the import light
+    from fractions import Fraction
 
 __all__ = [
     "MpsResult",
@@ -113,6 +114,7 @@ def mps_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MpsResult
             f"n - c + delta = {g.n} - {g.comp_count} + {delta} = {expected}"
         )
 
+    from fractions import Fraction
     ratio_in = Fraction(len(kept), g.edge_count) if g.edge_count else None
     ratio_tri = Fraction(len(kept), 3 * g.n - 6) if g.n >= 3 else None
     is_triangulation = g.connected and g.edge_count == 3 * g.n - 6
@@ -174,6 +176,7 @@ def mpt_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MptResult
             f"expected {expected}"
         )
     f3 = g.f3_internal
+    from fractions import Fraction
     ratio = Fraction(delta, f3) if f3 else None
     meets = None
     if cfg.t >= 2 and f3:
@@ -561,6 +564,7 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(rows: Sequence[BenchRow], path) -> None:
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

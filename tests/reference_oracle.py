@@ -1,4 +1,12 @@
-"""Branch and bound for β, the independent reference for the parity oracle.
+"""Independent references for the parity oracle: dense rank and branch and bound.
+
+``reference_rank`` is plain Gaussian elimination over GF(2⁶¹−1) on a
+dense matrix, and ``reference_parity_rank`` builds the oracle's
+matrix M densely, one row and column per candidate vertex, with weights
+drawn afresh from the same seeded stream.  The tests hold the oracle's
+sparse elimination and its weights to them.
+
+``reference_beta`` is branch and bound for β itself.
 
 Depth-first over a fixed candidate order (heaviest corner-incidence sum
 first), including a candidate before excluding it.  Each node is pruned
@@ -18,7 +26,54 @@ to a few dozen candidates.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+
+PRIME = (1 << 61) - 1
+WEIGHT_SEED = 2018
+
+
+def reference_rank(rows: list[list[int]]) -> int:
+    """Rank over GF(PRIME) by dense Gaussian elimination; consumes ``rows``.
+
+    Rows still waiting for a pivot are zero in every column before the
+    current one, so each update only rewrites the columns after it.
+    """
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        for k, row in enumerate(rows):
+            if row[col]:
+                break
+        else:
+            continue
+        pivot = rows.pop(k)
+        rank += 1
+        inv = pow(pivot[col], -1, PRIME)
+        tail = [b * inv % PRIME for b in pivot[col + 1:]]
+        for row in rows:
+            f = row[col]
+            if f:
+                row[col + 1:] = [(a - f * b) % PRIME for a, b in zip(row[col + 1:], tail)]
+    return rank
+
+
+def reference_parity_rank(candidates, keep) -> int:
+    """Rank of M = Σ x_t (b_t c_tᵀ − c_t b_tᵀ) over the candidates in keep.
+
+    Candidate t's weight is the t-th draw of ``random.Random(WEIGHT_SEED)``.
+    """
+    rng = random.Random(WEIGHT_SEED)
+    weights = [rng.randrange(1, PRIME) for _ in candidates]
+    index = {v: i for i, v in enumerate(sorted({v for t in candidates for v in t}))}
+    m = [[0] * len(index) for _ in index]
+    for t in keep:
+        u, v, w = (index[x] for x in candidates[t])
+        # b cᵀ − c bᵀ for b = e_u − e_v, c = e_u − e_w, written out entry
+        # by entry: +1 at (u, v), (v, w) and (w, u), -1 at their transposes.
+        for i, j in ((u, v), (v, w), (w, u)):
+            m[i][j] = (m[i][j] + weights[t]) % PRIME
+            m[j][i] = (m[j][i] - weights[t]) % PRIME
+    return reference_rank(m)
 
 
 def _edges_of(triple):

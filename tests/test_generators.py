@@ -155,6 +155,13 @@ def test_platonics():
         build_instance(GeneratorSpec("platonic", name="dodecahedron_typo"))
 
 
+@pytest.mark.parametrize("name", [["x"], None, 3, b"octahedron"])
+def test_platonic_name_must_be_a_known_str(name):
+    # An unhashable name used to escape as a bare TypeError.
+    with pytest.raises(UnknownFamilyError, match="unknown platonic solid"):
+        build_instance(GeneratorSpec("platonic", name=name))
+
+
 def test_grids():
     g33 = build_instance(GeneratorSpec("grid_triangulation", width=3, height=3))
     assert (g33.n, g33.edge_count, g33.f3_internal) == (9, 16, 8)

@@ -1,6 +1,9 @@
-"""β by matroid parity, checked against branch and bound and brute force."""
+"""β by matroid parity, checked against branch and bound, brute force and dense rank."""
 
+import hashlib
+import json
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -11,6 +14,7 @@ from cactus_forge import (
     BudgetExceededError,
     CactusForgeError,
     GeneratorSpec,
+    InvalidCactusError,
     SearchConfig,
     build_instance,
     exact_beta_all_triangles,
@@ -24,7 +28,7 @@ from cactus_forge.cli import main
 from cactus_forge import oracle
 from cactus_forge.oracle import DEFAULT_BUDGET, clique_candidates, face_candidates
 from cactus_forge.plane_graph import dump_instance
-from reference_oracle import reference_beta
+from reference_oracle import reference_beta, reference_parity_rank, reference_rank
 from reference_subgraph import reembed
 
 
@@ -205,6 +209,29 @@ def test_budget_below_one_is_bad_input(octa, tmp_path, capsys, budget):
     assert message in err and "oracle refused" not in err
 
 
+@pytest.mark.parametrize("budget", [2.5, True, "41"])
+def test_budget_must_be_an_int(octa, budget):
+    # 2.5 used to run, and True was refused as a spent "budget of True".
+    with pytest.raises(CactusForgeError, match=re.escape(f"an int, got {budget!r}")) as exc:
+        max_cactus(face_candidates(octa), budget=budget)
+    assert not isinstance(exc.value, BudgetExceededError)
+
+
+@pytest.mark.parametrize(
+    "bad", [(0, 0, 0), (0, 1), (0, 1, 1), (0, 1, 2, 3), (0, 1, True), [0, 1.0, 2], 5]
+)
+def test_degenerate_candidate_is_bad_input(bad):
+    # (0, 0, 0) used to raise a KeyError, (0, 1) a bare ValueError, and
+    # (0, 1, 1) returned beta = 0.  An InvalidCactusError exits 4 in the CLI.
+    with pytest.raises(InvalidCactusError, match=re.escape(repr(bad))):
+        max_cactus([(3, 4, 5), bad])
+
+
+def test_list_candidates_give_tuple_witnesses():
+    res, witness = max_cactus([[0, 1, 2], (3, 4, 5)])
+    assert res.optimum == 2 and witness == ((0, 1, 2), (3, 4, 5))
+
+
 def brute_force_beta(cands):
     """Largest subset of the candidates that forms a cactus, by exhaustion."""
     for k in range(len(cands), 0, -1):
@@ -339,3 +366,81 @@ def test_large_search_cli_exits_4(rmp520, tmp_path, capsys):
     assert "oracle refused" in err
     assert "1037 rank evaluations" in err and "beta = 259" in err
     assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# the sparse elimination against the dense reference
+
+PRIME = oracle.PRIME
+
+
+@st.composite
+def skew_matrices(draw):
+    """A skew-symmetric matrix on distinct vertex ids, as (ids, upper entries).
+
+    Entries come from {0, 1, 2, -1}, so Schur complement entries often
+    cancel to 0 and must be deleted from the sparse rows.
+    """
+    ids = draw(st.lists(st.integers(-20, 20), unique=True, max_size=9))
+    pairs = len(ids) * (len(ids) - 1) // 2
+    upper = draw(st.lists(st.sampled_from([0, 1, 2, PRIME - 1]),
+                          min_size=pairs, max_size=pairs))
+    return ids, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_matrices())
+def test_skew_rank_matches_dense_rank(matrix):
+    ids, upper = matrix
+    s = len(ids)
+    dense = [[0] * s for _ in range(s)]
+    adj = {v: {} for v in ids}
+    entries = iter(upper)
+    for i in range(s):
+        for j in range(i + 1, s):
+            x = next(entries)
+            dense[i][j], dense[j][i] = x, -x % PRIME
+            if x:
+                adj[ids[i]][ids[j]], adj[ids[j]][ids[i]] = x, PRIME - x
+    assert oracle._skew_rank(adj) == reference_rank(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random_maximal_planar", "apollonian"]), st.integers(4, 28),
+       st.integers(0, 10_000), st.sampled_from([0.0, 0.15, 0.4]), st.booleans(),
+       st.integers(0, 3), st.data())
+def test_parity_rank_matches_dense_rank(family, n, seed, p, cliques, repeats, data):
+    # Edge-deleted hosts have several components; repeated candidates sum
+    # their weights on shared entries.
+    host = build_instance(GeneratorSpec(family, n=n, seed=seed))
+    rng = random.Random(seed)
+    g, _, _ = reembed(host, {e for e in host.edge_set if rng.random() >= p})
+    cands = clique_candidates(g) if cliques else face_candidates(g)
+    cands += cands[:repeats]
+    keep = data.draw(st.lists(st.integers(0, len(cands) - 1), unique=True)) if cands else []
+    parity = oracle._Parity(cands, 0)  # the ceiling plays no part in a rank
+    assert parity.rank(keep) == reference_parity_rank(cands, keep)
+    assert parity.rank(range(len(cands))) == reference_parity_rank(cands, range(len(cands)))
+
+
+def test_cancelling_weights_leave_no_zero_entry(monkeypatch):
+    # Weights that sum to 0 on an entry (probability about 1/p) must
+    # delete it, not leave a zero for the elimination to pivot on.
+    monkeypatch.setattr(oracle, "_weights", lambda m: (1, PRIME - 1, 5))
+    parity = oracle._Parity([(0, 1, 2), (0, 1, 2), (0, 1, 3)], 1)
+    assert parity.rank([0, 1]) == 0
+    assert parity.rank([0, 1, 2]) == 2
+
+
+def test_witnesses_are_pinned():
+    # The witnesses and evaluation counts of rmp n = 32 and 64, seed 1,
+    # as the dense elimination gave them: the elimination order changes
+    # no rank, so it changes no witness.
+    out = []
+    for n in (32, 64):
+        cands = face_candidates(build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=1)))
+        res, witness = max_cactus(cands, budget=len(cands) + 1)
+        out.append([list(res), [list(t) for t in witness]])
+    assert [r[0] for r in out] == [[15, 15, True, 61], [31, 31, True, 125]]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "2e5f4a1ad990addc25fc86feaf9393ae9e310f3936dd0ad16c2598b1a9bf9f8c"

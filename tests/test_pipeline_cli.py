@@ -336,9 +336,9 @@ class TestCorpusHarness:
         assert done.stdout.strip() == "False"
 
     def test_import_does_not_load_dataclasses(self):
-        # Records are NamedTuples, and the traceback module loads only on a
-        # failed row.  Modules that site loaded before the import do not
-        # count.
+        # Records are NamedTuples, the traceback module loads only on a
+        # failed row, and fractions and csv only in the functions that use
+        # them.  Modules that site loaded before the import do not count.
         probe = (
             "import sys; before = set(sys.modules); "
             "import cactus_forge, cactus_forge.cli; "
@@ -350,7 +350,8 @@ class TestCorpusHarness:
                               env={**os.environ, "PYTHONPATH": src})
         loaded = set(ast.literal_eval(done.stdout))
         assert "cactus_forge.analyzer" in loaded
-        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback",
+                 "fractions", "decimal", "csv"}
         assert not loaded & heavy, sorted(loaded & heavy)
 
     def test_sidecar_roundtrips(self, tmp_path):

@@ -6,12 +6,7 @@ component structure of the result, and drive planar-subgraph
 approximation pipelines from the command line.
 """
 
-from .analyzer import (
-    CactusReport,
-    ComponentReport,
-    analyze_cactus,
-    component_report,
-)
+from .analyzer import CactusReport, ComponentReport, analyze_cactus
 from .cactus import (
     TriangularCactus,
     cactus_from_triples,
@@ -52,19 +47,13 @@ from .pipeline import (
     mpt_pipeline,
     verify_corpus,
 )
-from .plane_graph import (
-    PlaneGraph,
-    load_instance,
-    missing_edges_to_triangulation,
-    relabeled,
-)
+from .plane_graph import PlaneGraph, load_instance, relabeled
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PlaneGraph",
     "load_instance",
-    "missing_edges_to_triangulation",
     "relabeled",
     "TriangularCactus",
     "cactus_from_triples",
@@ -90,7 +79,6 @@ __all__ = [
     "CactusReport",
     "ComponentReport",
     "analyze_cactus",
-    "component_report",
     "GeneratorSpec",
     "build_instance",
     "MpsResult",

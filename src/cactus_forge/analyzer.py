@@ -12,8 +12,7 @@ here is re-checked against an independent recount and any mismatch is
 raised as an implementation bug rather than reported as data.
 
 Whether the cactus is 2-swap optimal is decided once, by analyze_cactus
-(with the verifier, or on the caller's word); component_report takes that
-answer as a required bool and builds each report in one straight pass.
+(with the verifier, or on the caller's word).
 What the stages read of the host (component labels, cross triangles,
 each component's triangles and darts) is tabled once per cactus and
 shared by every component's report.
@@ -35,14 +34,10 @@ Vocabulary used throughout:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .cactus import TriangularCactus
-from .errors import (
-    IdentityViolationError,
-    NotAComponentError,
-    NotLocallyOptimalError,
-)
+from .errors import IdentityViolationError, NotLocallyOptimalError
 from .local_search import check_host, verify_local_optimality
 from .plane_graph import PlaneGraph
 from .unionfind import DisjointSet
@@ -57,7 +52,6 @@ __all__ = [
     "Verdict",
     "ComponentReport",
     "CactusReport",
-    "component_report",
     "analyze_cactus",
 ]
 
@@ -350,8 +344,7 @@ class _ComponentAnalysis:
         self.root = root
         self.members = tables.members[root]
         self.s = frozenset(self.members)
-        # A singleton component has no triangle and no dart.
-        self.tri_ids = tables.tri_ids.get(root, [])
+        self.tri_ids = tables.tri_ids[root]
         self.inside = tables.inside_of[root]
 
     def report(self, verified: bool) -> ComponentReport:
@@ -731,7 +724,7 @@ class _ComponentAnalysis:
         region = regions.labels()  # per host face
         outer = region[g.outer_face_id]
         boundary = [d for d in inside if region[face_of[d]] == outer]
-        if inside and not boundary:
+        if not boundary:
             raise IdentityViolationError(
                 "outer region of the component subgraph has no boundary dart"
             )
@@ -745,9 +738,7 @@ class _ComponentAnalysis:
         darts_of: dict[int, list[int]] = {}
         for d in inside:
             darts_of.setdefault(region[face_of[d]], []).append(d)
-        # Roots come up in order of their faces' smallest darts; an edgeless
-        # skeleton (a singleton component) is one face.
-        darts_of = darts_of or {region[g.outer_face_id]: []}
+        # Roots come up in order of their faces' smallest darts.
         fid_of = {root: fid for fid, root in enumerate(darts_of)}
         host_faces: list[list[int]] = [[] for _ in darts_of]
         for hf, root in enumerate(region):
@@ -967,43 +958,8 @@ def _gain_floor_half(label: tuple[int, int, int], friendly: bool) -> int | None:
     return None
 
 
-
 # ----------------------------------------------------------------------
-# public entry points
-
-
-def component_report(
-    g: PlaneGraph,
-    cactus: TriangularCactus,
-    component: Iterable[int],
-    *,
-    verified: bool,
-) -> ComponentReport:
-    """Full analysis of one component, with verdicts.
-
-    verified says whether the cactus is 2-swap optimal; analyze_cactus
-    decides it.  The graded checks hold on optima only, so the flag turns
-    them from informational into required, and it decides what a failed
-    heavy-shape check means: on an unverified cactus it raises
-    NotLocallyOptimalError (without a witness), on a verified one it is
-    kept as a failed verdict.  A cactus of another graph than g raises
-    ValueError.
-    """
-    check_host(g, cactus)
-    s = frozenset(component)
-    if not s:
-        raise NotAComponentError("the empty set is not a cactus component")
-    for v in s:
-        # True == 1, so a bool would otherwise stand for vertex 1.
-        if type(v) is not int or not 0 <= v < g.n:
-            raise NotAComponentError(f"vertex {v!r} is not a vertex of the graph")
-    tables = _HostTables(g, cactus)
-    root = tables.label[min(s)]
-    if s != frozenset(tables.members[root]):
-        raise NotAComponentError(
-            f"{sorted(s)} is not a component of the cactus partition"
-        )
-    return _ComponentAnalysis(tables, root).report(verified)
+# public entry point
 
 
 def analyze_cactus(

@@ -151,20 +151,6 @@ class TriangularCactus:
         a component."""
         return self._uf.labels()
 
-    def same_component(self, u: int, v: int) -> bool:
-        return self._uf.find(u) == self._uf.find(v)
-
-    def component_of(self, v: int) -> frozenset[int]:
-        labels = self.labels()
-        return frozenset(u for u, r in enumerate(labels) if r == labels[v])
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """All components, singletons included, ordered by smallest member."""
-        buckets: dict[int, list[int]] = {}
-        for v, r in enumerate(self.labels()):
-            buckets.setdefault(r, []).append(v)
-        return tuple(tuple(b) for b in sorted(buckets.values()))
-
     def copy(self) -> "TriangularCactus":
         dup = TriangularCactus.__new__(TriangularCactus)
         dup.host = self.host

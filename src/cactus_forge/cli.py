@@ -293,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None,
                    help="only run the first N corpus entries")
     p.add_argument("--seed", type=int, default=0, help="solver shuffle seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default CACTUS_FORGE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default 1)")
     p.add_argument("--csv", default=None)
     p.add_argument("--sidecar", default=None)
     p.set_defaults(func=_cmd_bench)

@@ -41,14 +41,6 @@ class BadOuterDesignatorError(InstanceFormatError):
         super().__init__(f"bad outer-face designator: {detail}")
 
 
-class TooFewVerticesError(CactusForgeError, ValueError):
-    """Operation requires at least 3 vertices."""
-
-
-class DisconnectedError(CactusForgeError, ValueError):
-    """Operation requires a connected graph."""
-
-
 class UnknownTriangleError(CactusForgeError, KeyError):
     """A triangle was referenced that is not a candidate triangle of the host graph."""
 
@@ -81,10 +73,6 @@ class BudgetExceededError(CactusForgeError, RuntimeError):
             f"budget of {budget}; raise it with --budget (beta = {result.optimum})"
         )
         self.result = result
-
-
-class NotAComponentError(CactusForgeError, ValueError):
-    """The vertex set handed to the analyzer is not one cactus component."""
 
 
 class NotLocallyOptimalError(CactusForgeError, ValueError):

@@ -81,7 +81,12 @@ class SearchTrace(NamedTuple):
 
 
 def greedy_initial(g: PlaneGraph, seed: int = 0) -> TriangularCactus:
-    """Maximal cactus from one seed-shuffled greedy pass over the candidates."""
+    """Maximal cactus from one seed-shuffled greedy pass over the candidates.
+
+    A seed that is not an int raises ``ValueError``: None would draw one
+    from the OS, and True would run seed 1."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     order = [t.id for t in g.triangles]
     random.Random(seed).shuffle(order)
     c = TriangularCactus(g)

@@ -49,7 +49,6 @@ __all__ = [
     "report_to_dict",
     "write_csv",
     "write_sidecar",
-    "worker_count",
 ]
 
 
@@ -468,31 +467,10 @@ def _bench_one(spec: GeneratorSpec, cfg: SearchConfig) -> tuple[BenchRow, dict]:
     return row, sidecar
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Resolve worker count: argument, then CACTUS_FORGE_THREADS, then 1."""
-    # 0 means one worker; a negative count is a typo, not a request.
-    if requested is not None:
-        if requested < 0:
-            raise CactusForgeError(f"--threads must be at least 0, got {requested}")
-        return max(1, requested)
-    env = os.environ.get("CACTUS_FORGE_THREADS", "")
-    if env.strip():
-        try:
-            count = int(env)
-        except ValueError:
-            raise CactusForgeError(
-                f"CACTUS_FORGE_THREADS must be an integer, got {env!r}"
-            ) from None
-        if count < 0:
-            raise CactusForgeError(f"CACTUS_FORGE_THREADS must be at least 0, got {env!r}")
-        return max(1, count)
-    return 1
-
-
 def verify_corpus(
     corpus: Iterable[GeneratorSpec],
     cfg: SearchConfig = SearchConfig(),
-    threads: int | None = None,
+    threads: int = 1,
 ) -> CorpusResult:
     """Run the harness over a corpus and collect rows plus failures.
 
@@ -500,10 +478,15 @@ def verify_corpus(
     sweep never aborts on a bad row.  The strict per-component coverage
     bound is tracked as a discrepancy log, not as a failure.  The pool
     holds at most one process per row and per CPU, whatever the requested
-    count: it starts all of them at the first row it is handed.
+    count: it starts all of them at the first row it is handed.  threads
+    counts the workers; 0 means one, and a negative count, a bool or a
+    non-int raises ``CactusForgeError``.
     """
+    # True == 1, so a bool would otherwise run as one worker.
+    if type(threads) is not int or threads < 0:
+        raise CactusForgeError(f"--threads must be an int of at least 0, got {threads!r}")
     specs = list(corpus)
-    workers = min(worker_count(threads), len(specs), os.cpu_count() or 1)
+    workers = min(threads, len(specs), os.cpu_count() or 1)
     pairs: list[tuple[BenchRow, dict]]
     if workers <= 1:
         pairs = [_bench_one(s, cfg) for s in specs]
@@ -532,8 +515,9 @@ def acceptance_corpus(rmp_count: int = 200) -> tuple[GeneratorSpec, ...]:
     Triangulation sizes cycle over n in [4, 64] as the seed increases, so
     any prefix of the corpus still spans small and large instances.
     """
-    if rmp_count < 0:
-        raise CactusForgeError(f"rmp_count must be at least 0, got {rmp_count}")
+    # True == 1, so a bool would otherwise stand for one triangulation.
+    if type(rmp_count) is not int or rmp_count < 0:
+        raise CactusForgeError(f"rmp_count must be an int of at least 0, got {rmp_count!r}")
     specs = [
         GeneratorSpec("random_maximal_planar", n=4 + (i % 61), seed=i)
         for i in range(rmp_count)

@@ -27,13 +27,11 @@ from typing import NamedTuple, Sequence
 from .errors import (
     AsymmetricAdjacencyError,
     BadOuterDesignatorError,
-    DisconnectedError,
     IdentityViolationError,
     InstanceFormatError,
     LoopEdgeError,
     NonPlanarEmbeddingError,
     ParallelEdgeError,
-    TooFewVerticesError,
 )
 from .unionfind import DisjointSet
 
@@ -42,7 +40,6 @@ __all__ = [
     "Triangle",
     "PlaneGraph",
     "cactus_ceiling",
-    "missing_edges_to_triangulation",
     "relabeled",
     "parse_instance",
     "read_json",
@@ -377,25 +374,9 @@ class PlaneGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._dart_of
 
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
-
-    @property
-    def outer_face(self) -> Face:
-        return self.faces[self.outer_face_id]
-
     @property
     def connected(self) -> bool:
         return self.comp_count <= 1
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.comp_count)]
-        for v in range(self.n):
-            buckets[self.comp_of_vertex[v]].append(v)
-        return tuple(tuple(b) for b in buckets)
 
     @property
     def f3_all(self) -> int:
@@ -424,10 +405,6 @@ class PlaneGraph:
                 union(a, c)
             self._ceiling = _ceiling_of(uf)
         return self._ceiling
-
-    def face_at(self, u: int, v: int) -> Face:
-        """The face lying to the left of the dart u->v."""
-        return self.faces[self.face_of_dart[self.dart_id(u, v)]]
 
     def __repr__(self) -> str:
         return (
@@ -482,25 +459,10 @@ def cactus_ceiling(triples: Sequence[Sequence[int]]) -> int:
     return _ceiling_of(uf)
 
 
-def missing_edges_to_triangulation(g: PlaneGraph) -> int:
-    """How many edges g is short of a maximal simple plane graph, 3n - 6 - |E|."""
-    if g.n < 3:
-        raise TooFewVerticesError(
-            f"triangulation deficit needs at least 3 vertices, got {g.n}"
-        )
-    if not g.connected:
-        raise DisconnectedError("triangulation deficit is defined for connected graphs")
-    t = 3 * g.n - 6 - g.edge_count
-    if t < 0:
-        raise IdentityViolationError(
-            f"simple plane graph with {g.edge_count} > 3n-6 edges"
-        )
-    return t
-
-
 def relabeled(g: PlaneGraph, perm: Sequence[int]) -> PlaneGraph:
     """Apply a vertex permutation (perm[old] = new) to the whole embedding."""
-    if sorted(perm) != list(range(g.n)):
+    # 1.0 and True both sort as 1, so the entries' types are checked first.
+    if not all(type(p) is int for p in perm) or sorted(perm) != list(range(g.n)):
         raise InstanceFormatError("relabeling must be a permutation of the vertices")
     rotations: list[tuple[int, ...]] = [()] * g.n
     for u in range(g.n):

@@ -61,7 +61,7 @@ def reembed(
             (u, v)
             for u, nbrs in enumerate(rotations)
             for v in nbrs
-            if root[g.face_at(u, v).id] == root[g.outer_face_id]
+            if root[g.face_of_dart[g.dart_id(u, v)]] == root[g.outer_face_id]
         ),
         None,
     )

@@ -19,30 +19,25 @@ from cactus_forge import (
     acceptance_corpus,
     analyze_cactus,
     build_instance,
-    component_report,
     greedy_initial,
     local_search,
 )
 from cactus_forge.analyzer import Verdict, _gain_floor_half
-from cactus_forge.errors import NotAComponentError
 from cactus_forge.pipeline import report_to_dict
 from reference_split import spanning_chords
 from reference_subgraph import reembed
 
 
-def the_component(case):
-    return case.cactus.component_of(case.triples[0][0])
-
-
-def verified_report(case):
-    return component_report(
-        case.g, case.cactus, the_component(case), verified=True
-    )
+def report_of(case, verified=True):
+    """The report of the component holding the case's first triangle."""
+    v = case.triples[0][0]
+    reports = analyze_cactus(case.g, case.cactus, verified=verified).components
+    return next(r for r in reports if v in r.vertices)
 
 
 class TestEdgeClasses:
     def test_heavy_pair_edges(self, heavy_pair):
-        edges = verified_report(heavy_pair).edges
+        edges = report_of(heavy_pair).edges
         assert edges[(0, 1)].kind == "cactus"
         assert edges[(0, 1)].owner is not None
         chord = edges[(0, 2)]
@@ -53,7 +48,7 @@ class TestEdgeClasses:
         assert {c.third_vertex for c in chord.crosses} == {5, 6}
 
     def test_heavy_path_chords_all_double(self, heavy_path):
-        edges = verified_report(heavy_path).edges
+        edges = report_of(heavy_path).edges
         chords = {e: c for e, c in edges.items() if c.kind != "cactus"}
         assert set(chords) == {(0, 2), (0, 3), (1, 3)}
         assert all(c.kind == "type-2" for c in chords.values())
@@ -61,7 +56,7 @@ class TestEdgeClasses:
 
 class TestTriangleClasses:
     def test_heavy_pair_triangles(self, heavy_pair):
-        tris = verified_report(heavy_pair).triangles
+        tris = report_of(heavy_pair).triangles
         assert set(tris) == {0, 4}
         a, b = tris[0], tris[4]
         assert a.vertices == (0, 1, 3) and b.vertices == (1, 2, 4)
@@ -72,19 +67,18 @@ class TestTriangleClasses:
         assert b.base_edge == (1, 2) and b.free_vertex == 4
 
     def test_heavy_path_triangles(self, heavy_path):
-        tris = verified_report(heavy_path).triangles
+        tris = report_of(heavy_path).triangles
         assert set(tris) == {0, 5, 8}
         assert all(t.cross_type == 0 and t.heavy for t in tris.values())
         assert [tris[i].total_load for i in (0, 5, 8)] == [4, 6, 4]
         assert tris[5].load == {(1, 2): 6, (1, 5): 0, (2, 5): 0}
 
     def test_spread_load_on_unverified_cactus_raises(self, heavy_shape_bad):
-        # component_report never runs the verifier itself, so the failed
-        # shape check is all it can report: no witness move
+        # verified=False skips the verifier, so the failed shape check is
+        # all the analyzer can report: no witness move
         g, c = heavy_shape_bad.g, heavy_shape_bad.cactus
-        comp = c.component_of(0)
         with pytest.raises(NotLocallyOptimalError) as exc:
-            component_report(g, c, comp, verified=False)
+            analyze_cactus(g, c, verified=False)
         assert str(exc.value) == "heavy triangle 1 has base load 2 < 3"
         assert exc.value.witness is None
 
@@ -93,12 +87,7 @@ class TestSuperFaces:
     def test_heavy_pair_occupancy(self, heavy_pair):
         # an unverified cactus still gets occupancy, capacity and labels;
         # the floors are graded only on a verified optimum
-        faces = component_report(
-            heavy_pair.g,
-            heavy_pair.cactus,
-            the_component(heavy_pair),
-            verified=False,
-        ).super_faces
+        faces = report_of(heavy_pair, verified=False).super_faces
         assert len(faces) == 2
         inner = next(f for f in faces if not f.is_outer)
         outer = next(f for f in faces if f.is_outer)
@@ -112,14 +101,14 @@ class TestSuperFaces:
         assert not any(f.friendly for f in faces)
 
     def test_heavy_pair_graded_floors(self, heavy_pair):
-        r = verified_report(heavy_pair)
+        r = report_of(heavy_pair)
         inner = next(f for f in r.super_faces if not f.is_outer)
         outer = next(f for f in r.super_faces if f.is_outer)
         assert inner.floor_half == 3 and outer.floor_half == 6
         assert all(f.gain_ok for f in r.super_faces)
 
     def test_heavy_path_floors_are_tight(self, heavy_path):
-        faces = verified_report(heavy_path).super_faces
+        faces = report_of(heavy_path).super_faces
         by_label = {f.label: f for f in faces}
         assert set(by_label) == {(1, 0, 0), (2, 0, 0), (2, 0, 1), (1, 0, 2)}
         # three of the four cases sit exactly on their lower bound
@@ -133,7 +122,7 @@ class TestSuperFaces:
 
 class TestComponentReport:
     def test_heavy_pair_report(self, heavy_pair):
-        r = verified_report(heavy_pair)
+        r = report_of(heavy_pair)
         assert r.vertices == (0, 1, 2, 3, 4)
         assert (r.cactus_count, r.anchored_count) == (2, 6)
         assert r.cactus_type_counts == (0, 2, 0, 0)
@@ -155,7 +144,7 @@ class TestComponentReport:
         assert all(v.ok for v in r.verdicts)
 
     def test_heavy_path_report(self, heavy_path):
-        r = verified_report(heavy_path)
+        r = report_of(heavy_path)
         assert (r.cactus_count, r.anchored_count) == (3, 9)
         assert r.cactus_type_counts == (3, 0, 0, 0)
         assert r.chord_type_counts == (0, 0, 3)
@@ -168,7 +157,7 @@ class TestComponentReport:
         assert by_name["strict-coverage-bound"].detail == "9 <= 18 - 2"
 
     def test_skeleton_maps_cactus_faces(self, heavy_path):
-        r = verified_report(heavy_path)
+        r = report_of(heavy_path)
         sk = r.skeleton
         assert set(sk.cactus_face_of) == {0, 5, 8}
         assert len(sk.super_face_ids) == 4
@@ -194,39 +183,6 @@ class TestComponentReport:
         ]
         strict = next(v for v in r.verdicts if v.name == "strict-coverage-bound")
         assert strict.ok and not strict.required
-
-    def test_singleton_component_is_one_face(self, heavy_pair):
-        # Vertex 5 is untouched by the cactus: its component has no edge,
-        # so its skeleton is one face holding every host face.
-        g, c = heavy_pair.g, heavy_pair.cactus
-        r = component_report(g, c, [5], verified=False)
-        assert (r.vertices, r.cactus_count, r.anchored_count) == ((5,), 0, 0)
-        assert r.edges == {} and r.triangles == {}
-        assert r.skeleton.face_darts == ((),)
-        assert r.skeleton.host_faces == (frozenset(range(len(g.faces))),)
-        assert r.skeleton.super_face_ids == (0,) == (r.skeleton.outer_super_face,)
-        (face,) = r.super_faces
-        assert (face.boundary_len, face.survive, face.gain_half) == (0, 0, 0)
-        assert r.ok
-
-    def test_component_argument_is_validated(self, heavy_pair):
-        g, c = heavy_pair.g, heavy_pair.cactus
-        with pytest.raises(NotAComponentError):
-            component_report(g, c, (), verified=True)
-        with pytest.raises(NotAComponentError):
-            component_report(g, c, [0, 99], verified=True)
-        with pytest.raises(NotAComponentError):
-            # strict subset of a component
-            component_report(g, c, [0, 1, 3], verified=True)
-
-    def test_component_vertices_must_be_ints(self, heavy_pair):
-        g, c = heavy_pair.g, heavy_pair.cactus
-        assert component_report(g, c, [0, 1, 2, 3, 4], verified=True).ok
-        # True == 1, so without a type check it stood for vertex 1.
-        with pytest.raises(NotAComponentError, match="vertex True "):
-            component_report(g, c, [0, True, 2, 3, 4], verified=True)
-        with pytest.raises(NotAComponentError, match=r"vertex 2\.0 "):
-            component_report(g, c, [2.0], verified=True)
 
 
 class TestWholeCactus:
@@ -353,10 +309,8 @@ def heavy_cases(heavy_pair, heavy_path, heavy_shape_bad):
 def test_outer_counts_match_the_component_subgraph(heavy_cases):
     checked = 0
     for name, g, c, _ in heavy_cases + list(_outer_count_cases()):
-        for comp in c.components():
-            if len(comp) == 1:
-                continue
-            r = component_report(g, c, comp, verified=True)
+        for r in analyze_cactus(g, c, verified=True).components:
+            comp = r.vertices
             got = (r.outer_len, r.outer_occupied, r.outer_free)
             assert got == _outer_counts_from_the_subgraph(g, comp, r), (name, comp)
             checked += 1
@@ -366,10 +320,8 @@ def test_outer_counts_match_the_component_subgraph(heavy_cases):
 def test_skeleton_matches_the_component_subgraph(heavy_cases):
     checked = 0
     for name, g, c, _ in heavy_cases + list(_outer_count_cases()):
-        for comp in c.components():
-            if len(comp) == 1:
-                continue
-            r = component_report(g, c, comp, verified=True)
+        for r in analyze_cactus(g, c, verified=True).components:
+            comp = r.vertices
             sk = r.skeleton
             type0 = {e for e, ec in r.edges.items() if ec.kind == "type-0"}
             _, regions, region_of = reembed(g, _component_edges(g, comp) - type0)
@@ -471,10 +423,7 @@ def test_spanning_chords_match_the_split_parts(heavy_cases):
     spans = 0
     cases = heavy_cases + list(_outer_count_cases()) + list(_edge_deleted_optima())
     for name, g, c, _ in cases:
-        for comp in c.components():
-            if len(comp) == 1:
-                continue
-            r = component_report(g, c, comp, verified=True)
+        for r in analyze_cactus(g, c, verified=True).components:
             crossed = [e for e, ec in r.edges.items() if ec.kind in ("type-1", "type-2")]
             for tid, tc in r.triangles.items():
                 assert tc.spanning_chords == spanning_chords(c, tid, crossed), (name, tid)

@@ -132,8 +132,8 @@ def test_wheels():
     assert (w6.n, w6.edge_count) == (6, 10)
     assert w6.f3_internal == 5
     assert w6.f3_all == 5  # the rim pentagon is not a triangle
-    assert len(w6.outer_face.vertices) == 5
-    assert w6.degree(0) == 5  # hub
+    assert len(w6.faces[w6.outer_face_id].vertices) == 5
+    assert len(w6.rotations[0]) == 5  # hub
     with pytest.raises(TooSmallError):
         build_instance(GeneratorSpec("wheel", n=3))
 
@@ -141,7 +141,7 @@ def test_wheels():
 def test_fans():
     f6 = build_instance(GeneratorSpec("fan", n=6))
     assert (f6.n, f6.edge_count, f6.f3_internal, f6.f3_all) == (6, 9, 4, 4)
-    assert len(f6.outer_face.vertices) == 6
+    assert len(f6.faces[f6.outer_face_id].vertices) == 6
     with pytest.raises(TooSmallError):
         build_instance(GeneratorSpec("fan", n=2))
 

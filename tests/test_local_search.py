@@ -17,7 +17,6 @@ from cactus_forge import (
     acceptance_corpus,
     analyze_cactus,
     build_instance,
-    component_report,
     find_improving_swap,
     greedy_initial,
     local_search,
@@ -269,6 +268,15 @@ def test_search_rejects_swap_sizes_it_does_not_run(rmp16, t):
         local_search(rmp16, SearchConfig(t=t))
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "1"])
+def test_seeds_that_are_not_ints_are_rejected(rmp16, seed):
+    # None would draw the shuffle from OS entropy, and True would run seed 1.
+    with pytest.raises(ValueError, match="seed must be an int"):
+        greedy_initial(rmp16, seed)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        local_search(rmp16, SearchConfig(seed=seed))
+
+
 def test_swap_sizes_the_scan_does_not_enumerate_are_rejected(rmp16):
     # This 2-swap optimum ends one triangle short of the ceiling; rmp16's
     # ends at it, where the verifier would otherwise answer unscanned.
@@ -331,8 +339,6 @@ def test_certifying_against_another_host_is_rejected():
             verify_local_optimality(g2, c1, 2)
         with pytest.raises(ValueError, match="another host graph"):
             analyze_cactus(g2, c1, verified=True)
-        with pytest.raises(ValueError, match="another host graph"):
-            component_report(g2, c1, c1.component_of(0), verified=True)
     # A t outside {0, 1, 2} is still reported first.
     with pytest.raises(ValueError, match="swap size"):
         verify_local_optimality(g2, c1, 3)

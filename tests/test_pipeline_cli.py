@@ -32,7 +32,6 @@ from cactus_forge.plane_graph import dump_instance
 from cactus_forge.pipeline import (
     CSV_COLUMNS,
     report_to_dict,
-    worker_count,
     write_csv,
     write_sidecar,
 )
@@ -42,6 +41,29 @@ from reference_subgraph import reembed
 @pytest.fixture(scope="module")
 def octa():
     return build_instance(GeneratorSpec("platonic", name="octahedron"))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each process pool a sweep starts.  The fake pool runs
+    the rows in this process, so no worker is started whatever the count."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
 
 
 # Which forest edges mps keeps, and into which regions the host's faces
@@ -212,33 +234,25 @@ class TestMpt:
 
 
 class TestWorkerCount:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("CACTUS_FORGE_THREADS", "7")
-        assert worker_count(3) == 3
-        assert worker_count(0) == 1
+    def test_explicit_argument_wins(self, monkeypatch, pool_sizes):
+        # threads alone sizes the pool; 0 and the default of 1 run inline.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        corpus = acceptance_corpus(rmp_count=3)[:3]
+        verify_corpus(corpus, threads=3)
+        verify_corpus(corpus, threads=0)
+        verify_corpus(corpus)
+        assert pool_sizes == [3]
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CACTUS_FORGE_THREADS", "5")
-        assert worker_count() == 5
-        monkeypatch.delenv("CACTUS_FORGE_THREADS")
-        assert worker_count() == 1
-
-    def test_negative_counts_are_errors(self, monkeypatch):
+    def test_negative_counts_are_errors(self):
         # A negative count is a typo, not a request for one worker.
-        monkeypatch.delenv("CACTUS_FORGE_THREADS", raising=False)
         with pytest.raises(CactusForgeError, match="--threads"):
-            worker_count(-3)
-        monkeypatch.setenv("CACTUS_FORGE_THREADS", "-2")
-        with pytest.raises(CactusForgeError, match="CACTUS_FORGE_THREADS"):
-            worker_count()
-        monkeypatch.setenv("CACTUS_FORGE_THREADS", "0")
-        assert worker_count() == 1
+            verify_corpus([], threads=-3)
 
-    def test_malformed_env_is_an_error(self, monkeypatch):
-        # a typo'd env var should fail loudly, not silently serialize
-        monkeypatch.setenv("CACTUS_FORGE_THREADS", "definitely-not-a-number")
-        with pytest.raises(CactusForgeError):
-            worker_count()
+    def test_bool_and_non_int_counts_are_errors(self):
+        # True == 1 would run one worker and 2.5 would reach the pool.
+        for threads in (True, 2.5, "2", None):
+            with pytest.raises(CactusForgeError, match="--threads"):
+                verify_corpus([], threads=threads)
 
 
 class TestCorpusHarness:
@@ -262,6 +276,12 @@ class TestCorpusHarness:
     def test_negative_rmp_count_is_an_error(self):
         with pytest.raises(CactusForgeError, match="rmp_count"):
             acceptance_corpus(-4)
+
+    def test_bool_and_float_rmp_counts_are_errors(self):
+        # True == 1 would build the corpus of one triangulation.
+        for count in (True, 2.5):
+            with pytest.raises(CactusForgeError, match="rmp_count"):
+                acceptance_corpus(count)
 
     def test_prefix_run_is_clean_and_ordered(self):
         corpus = acceptance_corpus(rmp_count=8)[:8]
@@ -300,32 +320,14 @@ class TestCorpusHarness:
         [(100_000, 3, 2, 2), (100_000, 3, 8, 3), (2, 3, 8, 2), (4, 3, None, None)],
     )
     def test_pool_is_capped_by_rows_and_cpus(
-        self, monkeypatch, threads, rows, cpus, expected
+        self, monkeypatch, pool_sizes, threads, rows, cpus, expected
     ):
-        # A fake pool records its size and runs the rows in this process,
-        # so no worker is started whatever the requested count.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         corpus = acceptance_corpus(rmp_count=rows)[:rows]
         res = verify_corpus(corpus, threads=threads)
         assert [r.instance for r in res.rows] == [s.label() for s in corpus]
         # cpu_count() may not know the count; then the sweep runs inline.
-        assert sizes == ([] if expected is None else [expected])
+        assert pool_sizes == ([] if expected is None else [expected])
 
     def test_import_does_not_load_multiprocessing(self):
         probe = "import sys, cactus_forge.cli; print('multiprocessing' in sys.modules)"
@@ -654,14 +656,11 @@ class TestCli:
             assert argv[-2] in capsys.readouterr().err
         assert not csv_path.exists()
 
-    def test_bench_rejects_negative_thread_counts(self, tmp_path, capsys, monkeypatch):
+    def test_bench_rejects_negative_thread_counts(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         argv = ["bench", "--limit", "1", "--csv", str(csv_path)]
         assert main([*argv, "--threads", "-3"]) == 4
         assert "--threads" in capsys.readouterr().err
-        monkeypatch.setenv("CACTUS_FORGE_THREADS", "-2")
-        assert main(argv) == 4
-        assert "CACTUS_FORGE_THREADS" in capsys.readouterr().err
         assert not csv_path.exists()
 
     def test_io_failures_exit_4(self, tmp_path, capsys):

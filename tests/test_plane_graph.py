@@ -13,18 +13,15 @@ from cactus_forge import (
     load_instance,
     acceptance_corpus,
     build_instance,
-    missing_edges_to_triangulation,
     relabeled,
 )
 from cactus_forge.errors import (
     AsymmetricAdjacencyError,
     CactusForgeError,
     BadOuterDesignatorError,
-    DisconnectedError,
     LoopEdgeError,
     NonPlanarEmbeddingError,
     ParallelEdgeError,
-    TooFewVerticesError,
 )
 from cactus_forge.plane_graph import dump_instance, instance_to_dict, parse_instance
 from reference_plane_graph import host_tables, tables_of
@@ -42,8 +39,8 @@ class TestConstruction:
         assert triangle.n == 3
         assert triangle.edge_count == 3
         assert triangle.edge_set == {(0, 1), (0, 2), (1, 2)}
-        assert triangle.degree(0) == 2
-        assert triangle.neighbors(1) == (2, 0)
+        assert len(triangle.rotations[0]) == 2
+        assert triangle.rotations[1] == (2, 0)
         assert triangle.has_edge(2, 0) and triangle.has_edge(0, 2)
         assert not triangle.has_edge(0, 0)
 
@@ -51,13 +48,13 @@ class TestConstruction:
         # The analyzer lists a component's edges in dart order.
         for g in (necklace, bowtie):
             darts = [(g.tail[d], g.head[d]) for d in range(g.dart_count)]
-            assert darts == [(u, v) for u in range(g.n) for v in g.neighbors(u)]
+            assert darts == [(u, v) for u in range(g.n) for v in g.rotations[u]]
 
     def test_triangle_faces(self, triangle):
         assert len(triangle.faces) == 2
         assert triangle.f3_internal == 1
         assert triangle.f3_all == 2
-        assert triangle.outer_face.vertices == (0, 1, 2)
+        assert triangle.faces[triangle.outer_face_id].vertices == (0, 1, 2)
 
     def test_k4_faces_and_triangles(self, k4):
         assert len(k4.faces) == 4
@@ -79,10 +76,6 @@ class TestConstruction:
     def test_face_lengths_sum_to_dart_count(self, k4, prism9, necklace):
         for g in (k4, prism9, necklace):
             assert sum(len(f.vertices) for f in g.faces) == 2 * g.edge_count
-
-    def test_face_at_matches_face_tables(self, k4):
-        f = k4.face_at(0, 1)
-        assert f.id == k4.face_of_dart[k4.dart_id(0, 1)]
 
     def test_prism_triangles(self, prism9):
         assert [t.vertices for t in prism9.triangles] == [(0, 1, 2), (3, 4, 5)]
@@ -150,15 +143,16 @@ class TestSubgraphs:
     def test_induced_triangle_of_k4(self, k4):
         sub, regions, region_of = reembed(k4, {(0, 1), (0, 2), (1, 2)})
         assert sub.edge_set == {(0, 1), (0, 2), (1, 2)}
-        assert sub.degree(3) == 0
+        assert sub.rotations[3] == ()
         # dropping the hub merges its three incident faces into one
         assert sorted(len(r.host_faces) for r in regions) == [1, 3]
         # the regions partition the host faces
         assert sorted(f for r in regions for f in r.host_faces) == [0, 1, 2, 3]
         outer = regions[region_of[k4.outer_face_id]]
         assert outer.host_faces == {k4.outer_face_id}
+        boundary = sub.faces[sub.outer_face_id].boundary
         assert outer.darts == tuple(
-            sorted(k4.dart_id(sub.tail[d], sub.head[d]) for d in sub.outer_face.boundary)
+            sorted(k4.dart_id(sub.tail[d], sub.head[d]) for d in boundary)
         )
 
     def test_drop_edge_merges_faces(self, k4):
@@ -240,7 +234,7 @@ class TestHostTables:
                     kept = {e for e in sorted(host.edge_set) if rng.random() >= p}
                     g = reembed(host, kept)[0]
                     self._check(g)
-                    joined += len(g.outer_face.walks) > 1
+                    joined += len(g.faces[g.outer_face_id].walks) > 1
         # Some of them leave the outer face with a walk of each component.
         assert joined > 0
 
@@ -250,7 +244,7 @@ class TestHostTables:
         )
         for g in (bowtie, necklace, two_k4, two_triangles):
             self._check(g)
-        assert len(two_triangles.outer_face.walks) == 2
+        assert len(two_triangles.faces[two_triangles.outer_face_id].walks) == 2
         assert len(two_triangles.triangles) == 2
 
     def test_edgeless_graph(self):
@@ -324,21 +318,6 @@ def test_corrupted_instances_fail_as_the_reference_does(first, source):
         assert direct == expected, kinds
 
 
-class TestTriangulationDeficit:
-    def test_values(self, triangle, k4, double_ear):
-        assert missing_edges_to_triangulation(triangle) == 0
-        assert missing_edges_to_triangulation(k4) == 0
-        assert missing_edges_to_triangulation(double_ear) == 3 * 5 - 6 - 7
-
-    def test_too_few_vertices(self):
-        with pytest.raises(TooFewVerticesError):
-            missing_edges_to_triangulation(PlaneGraph(2, [[1], [0]], (0, 1)))
-
-    def test_disconnected(self, bowtie):
-        with pytest.raises(DisconnectedError):
-            missing_edges_to_triangulation(bowtie)
-
-
 class TestRelabeling:
     def test_reversal_preserves_structure(self, k4):
         perm = [3, 2, 1, 0]
@@ -357,6 +336,10 @@ class TestRelabeling:
     def test_rejects_non_permutation(self, k4):
         with pytest.raises(InstanceFormatError):
             relabeled(k4, [0, 0, 1, 2])
+        # Floats and bools sort as the ints they equal.
+        for perm in ([0.0, 1.0, 2.0, 3.0], [0, True, 2, 3]):
+            with pytest.raises(InstanceFormatError, match="must be a permutation"):
+                relabeled(k4, perm)
 
 
 class TestInstanceIO:

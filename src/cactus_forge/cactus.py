@@ -292,16 +292,20 @@ def cactus_to_triples(c: TriangularCactus) -> list[list[int]]:
 def cactus_from_triples(
     g: PlaneGraph, triples: Sequence[Sequence[int]]
 ) -> TriangularCactus:
-    """Rebuild a cactus from vertex triples, re-validating against g."""
+    """Rebuild a cactus from vertex triples, re-validating against g.
+
+    An entry that is not a list or tuple of three ints naming a candidate
+    of g raises ``UnknownTriangleError`` naming it."""
     by_vertices = {cand.vertices: cand.id for cand in g.triangles}
     ids = []
     for triple in triples:
         # bool is an int subclass, so True would otherwise name vertex 1.
-        plain = all(isinstance(v, int) and not isinstance(v, bool) for v in triple)
-        key = tuple(sorted(triple)) if plain else ()
-        if len(key) != 3 or key not in by_vertices:
+        seq = isinstance(triple, (list, tuple))
+        key = tuple(sorted(triple)) if seq and all(type(v) is int for v in triple) else ()
+        if key not in by_vertices:
             raise UnknownTriangleError(
-                f"{list(triple)} is not a candidate triangle of the instance"
+                f"{list(triple) if seq else triple!r} is not a candidate "
+                "triangle of the instance"
             )
         ids.append(by_vertices[key])
     if len(set(ids)) != len(ids):

@@ -26,7 +26,6 @@ __all__ = [
     "FAMILIES",
     "build",
     "random_maximal_planar",
-    "apollonian",
     "wheel",
     "fan",
     "platonic",
@@ -205,11 +204,6 @@ def random_maximal_planar(n: int, seed: int = 0, flips: int | None = None) -> Pl
     return tri.graph()
 
 
-def apollonian(n: int, seed: int = 0) -> PlaneGraph:
-    """Pure stacked triangulation, no flips."""
-    return random_maximal_planar(n, seed, flips=0)
-
-
 # ----------------------------------------------------------------------
 # fixed families
 
@@ -343,7 +337,8 @@ def _build_rmp(spec: GeneratorSpec) -> PlaneGraph:
 
 
 def _build_apollonian(spec: GeneratorSpec) -> PlaneGraph:
-    return apollonian(spec.n, spec.seed)
+    # A pure stacked triangulation: no flips.
+    return random_maximal_planar(spec.n, spec.seed, flips=0)
 
 
 def _build_wheel(spec: GeneratorSpec) -> PlaneGraph:

@@ -136,14 +136,9 @@ class _MoveScan:
         self.examined = 0
 
     def moves(self, t: int) -> Iterator[SwapMove]:
-        yield from self._stage(())
-        if t >= 1:
-            ids = self.kept
-            for x in ids:
-                yield from self._stage((x,))
-            if t >= 2:
-                for pair in combinations(ids, 2):
-                    yield from self._stage(pair)
+        for k in range(t + 1):
+            for removal in combinations(self.kept, k):
+                yield from self._stage(removal)
 
     def _stage(self, removal: tuple[int, ...]) -> Iterator[SwapMove]:
         label = self.tour.labels_without(removal)
@@ -208,10 +203,15 @@ def find_improving_swap(
 ) -> SwapMove | None:
     """Lexicographically first improving move, or None at a local optimum.
 
-    This is the raw scan: it does not check that c belongs to g, so a
-    cactus of an equal graph, rebuilt from the same instance, may be
-    scanned against it.  A t outside {0, 1, 2} raises ``ValueError``."""
-    return next(_MoveScan(g, c).moves(_swap_size(t)), None)
+    This is the raw scan: c may be a cactus of g or of an equal graph
+    rebuilt from the same instance (the same n, rotations and outer
+    dart), and a cactus of any other graph raises ``ValueError``.  A t
+    outside {0, 1, 2} raises ``ValueError`` too."""
+    _swap_size(t)
+    h = c.host
+    if h is not g and (h.n, h.rotations, h.outer_dart) != (g.n, g.rotations, g.outer_dart):
+        raise ValueError("the cactus belongs to another host graph")
+    return next(_MoveScan(g, c).moves(t), None)
 
 
 def verify_local_optimality(

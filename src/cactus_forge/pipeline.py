@@ -239,9 +239,18 @@ CSV_COLUMNS = (
 
 class CorpusResult(NamedTuple):
     rows: tuple[BenchRow, ...]
-    failures: tuple[tuple[str, str], ...]  # (instance label, message)
     reports: tuple[dict, ...]  # JSON-ready analyzer sidecar, corpus order
-    strict_discrepancies: tuple[str, ...]
+
+    @property
+    def failures(self) -> tuple[tuple[str, str], ...]:
+        """(instance label, message) for every row failure, in corpus order."""
+        return tuple((row.instance, msg) for row in self.rows for msg in row.failures)
+
+    @property
+    def strict_discrepancies(self) -> tuple[str, ...]:
+        return tuple(
+            miss for side in self.reports for miss in side.get("strict_discrepancies", ())
+        )
 
     @property
     def ok(self) -> bool:
@@ -480,12 +489,17 @@ def verify_corpus(
     holds at most one process per row and per CPU, whatever the requested
     count: it starts all of them at the first row it is handed.  threads
     counts the workers; 0 means one, and a negative count, a bool or a
-    non-int raises ``CactusForgeError``.
+    non-int raises ``CactusForgeError``.  So does a corpus entry that is
+    not a ``GeneratorSpec``, before any row runs: each row reads its
+    spec's label before the guard that keeps the sweep from raising.
     """
     # True == 1, so a bool would otherwise run as one worker.
     if type(threads) is not int or threads < 0:
         raise CactusForgeError(f"--threads must be an int of at least 0, got {threads!r}")
     specs = list(corpus)
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, GeneratorSpec):
+            raise CactusForgeError(f"corpus entry {i} is not a GeneratorSpec: {spec!r}")
     workers = min(threads, len(specs), os.cpu_count() or 1)
     pairs: list[tuple[BenchRow, dict]]
     if workers <= 1:
@@ -498,15 +512,9 @@ def verify_corpus(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_bench_one, specs, [cfg] * len(specs)))
 
-    rows = tuple(row for row, _ in pairs)
-    reports = tuple(side for _, side in pairs)
-    failures = tuple(
-        (row.instance, msg) for row in rows for msg in row.failures
+    return CorpusResult(
+        tuple(row for row, _ in pairs), tuple(side for _, side in pairs)
     )
-    strict = tuple(
-        miss for side in reports for miss in side.get("strict_discrepancies", ())
-    )
-    return CorpusResult(rows, failures, reports, strict)
 
 
 def acceptance_corpus(rmp_count: int = 200) -> tuple[GeneratorSpec, ...]:
@@ -517,7 +525,9 @@ def acceptance_corpus(rmp_count: int = 200) -> tuple[GeneratorSpec, ...]:
     """
     # True == 1, so a bool would otherwise stand for one triangulation.
     if type(rmp_count) is not int or rmp_count < 0:
-        raise CactusForgeError(f"rmp_count must be an int of at least 0, got {rmp_count!r}")
+        raise CactusForgeError(
+            f"rmp_count (--rmp-count) must be an int of at least 0, got {rmp_count!r}"
+        )
     specs = [
         GeneratorSpec("random_maximal_planar", n=4 + (i % 61), seed=i)
         for i in range(rmp_count)

@@ -398,12 +398,7 @@ class PlaneGraph:
     def ceiling(self) -> int:
         """``cactus_ceiling`` of the candidate triangles, computed once."""
         if self._ceiling is None:
-            uf = DisjointSet(self.n)
-            union = uf.union
-            for a, b, c in (t.vertices for t in self.triangles):
-                union(a, b)
-                union(a, c)
-            self._ceiling = _ceiling_of(uf)
+            self._ceiling = cactus_ceiling([t.vertices for t in self.triangles])
         return self._ceiling
 
     def __repr__(self) -> str:
@@ -435,12 +430,6 @@ def _collect_triangles(g: PlaneGraph) -> tuple[Triangle, ...]:
     return tuple(records)
 
 
-def _ceiling_of(uf: DisjointSet) -> int:
-    """Sum of (s - 1) // 2 over the sets of uf, of s elements each."""
-    size = uf.size
-    return sum((size[r] - 1) // 2 for r, p in enumerate(uf.parent) if r == p)
-
-
 def cactus_ceiling(triples: Sequence[Sequence[int]]) -> int:
     """No cactus of these triangles holds more of them.
 
@@ -456,7 +445,8 @@ def cactus_ceiling(triples: Sequence[Sequence[int]]) -> int:
     for u, v, w in triples:
         uf.union(index[u], index[v])
         uf.union(index[u], index[w])
-    return _ceiling_of(uf)
+    size = uf.size
+    return sum((size[r] - 1) // 2 for r, p in enumerate(uf.parent) if r == p)
 
 
 def relabeled(g: PlaneGraph, perm: Sequence[int]) -> PlaneGraph:

@@ -1,6 +1,7 @@
 """Incremental triangular-cactus container and the triple helpers."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -172,6 +173,15 @@ def test_from_triples_rejects_bool_vertices(k4):
     assert k4.triangles[0].vertices == (0, 1, 2)
     with pytest.raises(UnknownTriangleError):
         cactus_from_triples(k4, [(0, True, 2)])
+
+
+@pytest.mark.parametrize("entry", [5, None, (0, 1), (0, True, 2), "abc", [0, 1, 2, 3]])
+def test_from_triples_names_a_malformed_entry(k4, entry):
+    # Only a list or tuple of three ints names a triangle; anything else
+    # is an unknown triangle, not a TypeError.
+    shown = list(entry) if isinstance(entry, tuple) else entry
+    with pytest.raises(UnknownTriangleError, match=re.escape(f"{shown!r} is not")):
+        cactus_from_triples(k4, [(0, 1, 2), entry])
 
 
 def test_from_triples_rejects_repeat_and_conflict(k4, necklace):

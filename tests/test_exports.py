@@ -24,6 +24,7 @@ REMOVED = (
     "TooFewVertices" "Error",  # raised only by the helper above
     "Disconnected" "Error",  # likewise
     "worker" "_count",  # verify_corpus(threads=...)
+    "apollo" "nian",  # GeneratorSpec("apollonian", n=n, seed=seed)
 )
 PLANE_GRAPH_VIEWS = ("degree", "neighbors", "components", "face_at", "outer_face")
 CACTUS_VIEWS = ("same_component", "component_of", "components")

@@ -348,6 +348,22 @@ def test_certifying_against_another_host_is_rejected():
     assert verify_local_optimality(g1, c1, 2) == (True, None)
 
 
+def test_the_raw_scan_rejects_a_cactus_of_another_host():
+    # Unchecked, the n12 host's scan of the n30 cactus claimed a local
+    # optimum, and the reverse pairing indexed past the n12 host's tables.
+    small = build_instance(GeneratorSpec("random_maximal_planar", n=12, seed=1))
+    large = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=2))
+    for g, other in ((small, large), (large, small)):
+        c, _ = local_search(other)
+        with pytest.raises(ValueError, match="another host graph"):
+            find_improving_swap(g, c, 2)
+    # The same n with another drawing is another host too.
+    rmp16 = build_instance(GeneratorSpec("random_maximal_planar", n=16, seed=2))
+    c, _ = local_search(build_instance(GeneratorSpec("random_maximal_planar", n=16, seed=1)))
+    with pytest.raises(ValueError, match="another host graph"):
+        find_improving_swap(rmp16, c, 2)
+
+
 class _ReferenceScan:
     """The per-position move walk the narrowing scan replaced, kept as an
     independent reference: one union-find per stage, and at each level a

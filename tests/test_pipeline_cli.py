@@ -254,6 +254,18 @@ class TestWorkerCount:
             with pytest.raises(CactusForgeError, match="--threads"):
                 verify_corpus([], threads=threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_non_spec_entry_is_rejected_before_any_row(
+        self, monkeypatch, pool_sizes, threads
+    ):
+        # A bare tuple has no label(), which each row reads before its guard.
+        ran = []
+        monkeypatch.setattr(pipeline, "_bench_one", lambda *a: ran.append(a))
+        corpus = [GeneratorSpec("wheel", n=5), ("wheel", 5)]
+        with pytest.raises(CactusForgeError, match="corpus entry 1"):
+            verify_corpus(corpus, threads=threads)
+        assert ran == [] and pool_sizes == []
+
 
 class TestCorpusHarness:
     def test_default_corpus_composition(self):
@@ -693,7 +705,22 @@ class TestCli:
         # (0, 1, 4) is a face; true must not stand in for vertex 1
         cac.write_text("[[0, true, 4]]")
         assert main(["analyze", "--in", str(inst), "--cactus", str(cac)]) == 4
-        assert "bad triple" in capsys.readouterr().err
+        assert "[0, True, 4] is not a candidate triangle" in capsys.readouterr().err
+
+    def test_malformed_cactus_entries_exit_4(self, tmp_path, capsys):
+        # The library checks each entry, so the command line reports it
+        # as bad input, not a traceback.
+        inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        cac = tmp_path / "cactus.json"
+        # A bool vertex has its own test above.
+        for text, shown in (("[5]", "5"), ("[null]", "None"), ("[[0, 1]]", "[0, 1]"),
+                            ('["abc"]', "'abc'")):
+            cac.write_text(text)
+            capsys.readouterr()
+            assert main(["analyze", "--in", str(inst), "--cactus", str(cac)]) == 4
+            assert capsys.readouterr().err == (
+                f"error: {shown} is not a candidate triangle of the instance\n"
+            )
 
     def test_unknown_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -34,6 +34,7 @@ Vocabulary used throughout:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .cactus import TriangularCactus
@@ -47,7 +48,6 @@ __all__ = [
     "EdgeClass",
     "TriangleClass",
     "Skeleton",
-    "BoundaryCounts",
     "SuperFace",
     "Verdict",
     "ComponentReport",
@@ -70,7 +70,6 @@ class CrossTriangle(NamedTuple):
     """
 
     face_id: int
-    support: tuple[int, int]
     side_dart: int
     third_vertex: int
     landing: int
@@ -132,24 +131,6 @@ class Skeleton(NamedTuple):
     outer_super_face: int | None
 
 
-class BoundaryCounts(NamedTuple):
-    """Side-role tallies around one super-face (all-heavy components).
-
-    Every boundary side is exactly one of these: a chord side (single- or
-    double-crossed chords; type-0 chords are gone from the skeleton) or
-    the non-triangle side of a cactus edge, split by the owning
-    triangle's base/free designation and cross type.
-    """
-
-    single_occupied: int
-    single_free: int
-    double: int
-    base_plain: int
-    base_crossed: int
-    free_plain: int
-    free_crossed: int
-
-
 class SuperFace(NamedTuple):
     """Occupancy accounting for one skeleton super-face.
 
@@ -173,7 +154,6 @@ class SuperFace(NamedTuple):
     gain_half: int
     host_faces: frozenset[int]
     sides: tuple[tuple[tuple[int, int], bool], ...]
-    counts: BoundaryCounts | None = None
     label: tuple[int, int, int] | None = None
     friendly: bool | None = None
     friendly_pairs: tuple[tuple[int, int, int], ...] = ()
@@ -578,11 +558,11 @@ class _ComponentAnalysis:
             crosses = ()
             hit = cross_at[d]
             if hit is not None:
-                crosses = (CrossTriangle(hit[0], e, d, hit[1], landing[hit[1]]),)
+                crosses = (CrossTriangle(hit[0], d, hit[1], landing[hit[1]]),)
             back = twin[d]
             hit = cross_at[back]
             if hit is not None:
-                crosses += (CrossTriangle(hit[0], e, back, hit[1], landing[hit[1]]),)
+                crosses += (CrossTriangle(hit[0], back, hit[1], landing[hit[1]]),)
             owner = owner_at[d]
             if owner is None:
                 kind = _CHORD_KINDS[len(crosses)]
@@ -790,15 +770,7 @@ class _ComponentAnalysis:
         for fid in skel.super_face_ids:
             occ = free = 0
             sides: list[tuple[tuple[int, int], bool]] = []
-            tally = {
-                "single_occupied": 0,
-                "single_free": 0,
-                "double": 0,
-                "base_plain": 0,
-                "base_crossed": 0,
-                "free_plain": 0,
-                "free_crossed": 0,
-            }
+            tally: Counter[str] = Counter()
             pairs: list[tuple[int, int, int]] = []
             for d in skel.face_darts[fid]:
                 u, v = tail[d], head[d]
@@ -818,13 +790,12 @@ class _ComponentAnalysis:
             cap_half = 2 * free + occ
             gain_half = cap_half - 2 * survive
             is_outer = fid == skel.outer_super_face
-            counts = label = floor = gain_ok = None
+            label = floor = gain_ok = None
             if labels_on:
-                counts = BoundaryCounts(**tally)
                 label = (
-                    counts.base_crossed + counts.double + counts.single_occupied,
-                    counts.single_free,
-                    counts.base_plain,
+                    tally["base_crossed"] + tally["double"] + tally["single_occupied"],
+                    tally["single_free"],
+                    tally["base_plain"],
                 )
                 if label[0] != occ:
                     raise IdentityViolationError(
@@ -849,7 +820,6 @@ class _ComponentAnalysis:
                     gain_half=gain_half,
                     host_faces=skel.host_faces[fid],
                     sides=tuple(sides),
-                    counts=counts,
                     label=label,
                     friendly=bool(pairs) if labels_on else None,
                     friendly_pairs=tuple(sorted(set(pairs))),
@@ -863,7 +833,13 @@ class _ComponentAnalysis:
     def _side_role(
         ec: EdgeClass, tris: dict[int, TriangleClass], hot: bool
     ) -> str:
-        """The BoundaryCounts field a boundary side on ec is tallied in."""
+        """The role of a boundary side on ec, tallied for the label.
+
+        Every boundary side has exactly one role: a chord side (single- or
+        double-crossed chords; type-0 chords are gone from the skeleton) or
+        the non-triangle side of a cactus edge, split by the owning
+        triangle's base/free designation and cross type.
+        """
         if ec.kind == "type-1":
             return "single_occupied" if hot else "single_free"
         if ec.kind == "type-2":

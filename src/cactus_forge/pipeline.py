@@ -492,6 +492,8 @@ def verify_corpus(
     non-int raises ``CactusForgeError``.  So does a corpus entry that is
     not a ``GeneratorSpec``, before any row runs: each row reads its
     spec's label before the guard that keeps the sweep from raising.
+    cfg supplies only the greedy seed: every row runs t = 1 and then
+    t = 2, whatever cfg.t says.
     """
     # True == 1, so a bool would otherwise run as one worker.
     if type(threads) is not int or threads < 0:

@@ -525,6 +525,6 @@ def instance_to_dict(g: PlaneGraph) -> dict:
 
 
 def dump_instance(g: PlaneGraph, path) -> None:
+    # json.dumps takes the C encoder; json.dump never does.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(g), fh)
-        fh.write("\n")
+        fh.write(json.dumps(instance_to_dict(g)) + "\n")

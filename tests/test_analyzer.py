@@ -435,7 +435,7 @@ def test_spanning_chords_match_the_split_parts(heavy_cases):
 # _edge_deleted_optima().  Unlike REPORTS_SHA256 it covers the edges, the
 # crosses and their landings, the spanning chords, the skeleton and the
 # super-face sides, and the order of every mapping.
-FULL_REPORTS_SHA256 = "7e3e188d8cce29a27085169d9c08c54988a9ac9d3b7f513f495f9533fac3734d"
+FULL_REPORTS_SHA256 = "59ddd23b14b371824ff08b5901471b46b42824b550e78d26097634b17a20eb94"
 
 
 def test_full_reports_match_the_frozen_digest(heavy_cases):

@@ -25,6 +25,7 @@ REMOVED = (
     "Disconnected" "Error",  # likewise
     "worker" "_count",  # verify_corpus(threads=...)
     "apollo" "nian",  # GeneratorSpec("apollonian", n=n, seed=seed)
+    "Boundary" "Counts",  # SuperFace.label
 )
 PLANE_GRAPH_VIEWS = ("degree", "neighbors", "components", "face_at", "outer_face")
 CACTUS_VIEWS = ("same_component", "component_of", "components")
@@ -50,6 +51,13 @@ def test_removed_views_are_gone():
         assert [a for a in PLANE_GRAPH_VIEWS if hasattr(obj, a)] == []
     for obj in (TriangularCactus, TriangularCactus(g)):
         assert [a for a in CACTUS_VIEWS if hasattr(obj, a)] == []
+
+
+def test_removed_record_fields_are_gone():
+    from cactus_forge.analyzer import CrossTriangle, SuperFace
+
+    assert "support" not in CrossTriangle._fields
+    assert "counts" not in SuperFace._fields
 
 
 def test_bench_help_names_one_worker_knob(capsys):

@@ -346,6 +346,8 @@ class TestInstanceIO:
     def test_roundtrip(self, prism9, tmp_path):
         path = tmp_path / "inst.json"
         dump_instance(prism9, path)
+        # One compact JSON line.
+        assert path.read_text(encoding="utf-8") == json.dumps(instance_to_dict(prism9)) + "\n"
         g = load_instance(path)
         assert g.n == prism9.n
         assert g.rotations == prism9.rotations

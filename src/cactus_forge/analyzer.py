@@ -152,10 +152,8 @@ class SuperFace(NamedTuple):
     survive: int
     capacity_half: int
     gain_half: int
-    host_faces: frozenset[int]
     sides: tuple[tuple[tuple[int, int], bool], ...]
     label: tuple[int, int, int] | None = None
-    friendly: bool | None = None
     friendly_pairs: tuple[tuple[int, int, int], ...] = ()
     floor_half: int | None = None
     gain_ok: bool | None = None
@@ -818,10 +816,8 @@ class _ComponentAnalysis:
                     survive=survive,
                     capacity_half=cap_half,
                     gain_half=gain_half,
-                    host_faces=skel.host_faces[fid],
                     sides=tuple(sides),
                     label=label,
-                    friendly=bool(pairs) if labels_on else None,
                     friendly_pairs=tuple(sorted(set(pairs))),
                     floor_half=floor,
                     gain_ok=gain_ok,

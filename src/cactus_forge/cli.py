@@ -110,10 +110,7 @@ def _cmd_solve(args) -> int:
                 "final_delta": trace.final_delta,
                 "moves_examined": trace.moves_examined,
                 "wall_time_s": trace.wall_time_s,
-                "moves_applied": [
-                    {"remove": list(m.remove), "add": list(m.add)}
-                    for m in trace.moves_applied
-                ],
+                "moves_applied": [m._asdict() for m in trace.moves_applied],
             },
             args.trace,
         )

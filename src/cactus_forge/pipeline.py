@@ -9,10 +9,11 @@ triangular faces off the input drawing, confirming the count equals delta.
 verify_corpus sweeps a corpus of generator specs, solving each instance
 at three strengths in one chain (greedy, then 1-swaps from it, then
 2-swaps from the 1-swap optimum), analyzing the 2-swap result, and
-taking beta from the parity oracle on every row.  Rows are
-computed concurrently but reduced in corpus order, and wall-clock numbers
-are confined to the JSON sidecar, so the CSV is byte-identical across
-runs with the same corpus and config.
+taking beta from the parity oracle on every row.  Rows run one after
+another in one process unless more than one worker is asked for; either
+way they come back in corpus order, and wall-clock numbers are confined
+to the JSON sidecar, so the CSV is byte-identical across runs with the
+same corpus and config.
 """
 
 from __future__ import annotations
@@ -148,12 +149,12 @@ def mpt_pipeline(g: PlaneGraph, cfg: SearchConfig = SearchConfig()) -> MptResult
     twin, face_of = g.twin, g.face_of_dart
     kept: set[int] = set()
     for tid in c.triangle_ids:
-        for u, v in g.triangles[tid].edges:
-            d = g.dart_id(u, v)
+        # The triangle's face is bounded by one dart of each of its edges.
+        for d in g.faces[g.triangles[tid].face_id].boundary:
             kept.update((d, twin[d]))
     regions = DisjointSet(len(g.faces))
     for d in range(g.dart_count):
-        if d not in kept:
+        if d < twin[d] and d not in kept:
             regions.union(face_of[d], face_of[twin[d]])
     delta = len(c)
     merged = [
@@ -221,20 +222,7 @@ class BenchRow(NamedTuple):
     wall_oracle_s: float = 0.0
 
 
-CSV_COLUMNS = (
-    "instance",
-    "n",
-    "edges",
-    "f3_internal",
-    "f3_all",
-    "delta_greedy",
-    "delta_1swap",
-    "delta_2swap",
-    "beta_faces",
-    "slack_2swap",
-    "ok",
-    "failures",
-)
+CSV_COLUMNS = tuple(f for f in BenchRow._fields if not f.startswith("wall_"))
 
 
 class CorpusResult(NamedTuple):
@@ -300,15 +288,7 @@ def report_to_dict(report: CactusReport) -> dict:
                     }
                     for f in r.super_faces
                 ],
-                "verdicts": [
-                    {
-                        "name": v.name,
-                        "ok": v.ok,
-                        "required": v.required,
-                        "detail": v.detail,
-                    }
-                    for v in r.verdicts
-                ],
+                "verdicts": [v._asdict() for v in r.verdicts],
                 "notes": list(r.notes),
             }
         )
@@ -319,10 +299,7 @@ def report_to_dict(report: CactusReport) -> dict:
         "singletons": report.singleton_count,
         "anchored_total": report.anchored_total,
         "triangular_faces": report.triangular_faces,
-        "verdicts": [
-            {"name": v.name, "ok": v.ok, "required": v.required, "detail": v.detail}
-            for v in report.verdicts
-        ],
+        "verdicts": [v._asdict() for v in report.verdicts],
         "components": comps,
     }
 

@@ -98,7 +98,7 @@ class TestSuperFaces:
         assert outer.capacity_half == outer.gain_half == 9
         assert outer.label == (1, 0, 0)
         assert all(f.floor_half is None and f.gain_ok is None for f in faces)
-        assert not any(f.friendly for f in faces)
+        assert not any(f.friendly_pairs for f in faces)
 
     def test_heavy_pair_graded_floors(self, heavy_pair):
         r = report_of(heavy_pair)
@@ -435,7 +435,7 @@ def test_spanning_chords_match_the_split_parts(heavy_cases):
 # _edge_deleted_optima().  Unlike REPORTS_SHA256 it covers the edges, the
 # crosses and their landings, the spanning chords, the skeleton and the
 # super-face sides, and the order of every mapping.
-FULL_REPORTS_SHA256 = "59ddd23b14b371824ff08b5901471b46b42824b550e78d26097634b17a20eb94"
+FULL_REPORTS_SHA256 = "5954206544a8ab2047026f9e59794961f801f3a5ea7fb7d6e92f12f921472efd"
 
 
 def test_full_reports_match_the_frozen_digest(heavy_cases):

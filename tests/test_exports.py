@@ -58,6 +58,9 @@ def test_removed_record_fields_are_gone():
 
     assert "support" not in CrossTriangle._fields
     assert "counts" not in SuperFace._fields
+    # host_faces copied the skeleton's entry; friendly restated friendly_pairs.
+    assert "host_faces" not in SuperFace._fields
+    assert "friendly" not in SuperFace._fields
 
 
 def test_bench_help_names_one_worker_knob(capsys):

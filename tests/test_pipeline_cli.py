@@ -28,9 +28,8 @@ from cactus_forge import (
 )
 from cactus_forge import oracle, pipeline
 from cactus_forge.cli import main
-from cactus_forge.plane_graph import dump_instance
+from cactus_forge.plane_graph import dump_instance, load_instance
 from cactus_forge.pipeline import (
-    CSV_COLUMNS,
     report_to_dict,
     write_csv,
     write_sidecar,
@@ -316,7 +315,10 @@ class TestCorpusHarness:
         assert a.read_bytes() == b.read_bytes()
         with open(a, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == CSV_COLUMNS
+        assert rows[0] == [
+            "instance", "n", "edges", "f3_internal", "f3_all", "delta_greedy",
+            "delta_1swap", "delta_2swap", "beta_faces", "slack_2swap", "ok", "failures",
+        ]
         assert "wall_solve_s" not in rows[0]
         assert len(rows) == 7
 
@@ -532,6 +534,26 @@ class TestCli:
         assert main(["analyze", "--in", str(inst), "--cactus", str(solved)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "random_maximal_planar", "--n", "30", "--seed", "7"),
+            ("--family", "apollonian", "--n", "40", "--seed", "2"),
+        ],
+    )
+    def test_solve_trace_lists_the_applied_moves(self, tmp_path, args):
+        inst = self._generate(tmp_path, *args)
+        trace_path = tmp_path / "trace.json"
+        assert main(["solve", "--in", str(inst), "--trace", str(trace_path)]) == 0
+        moves = json.loads(trace_path.read_text())["moves_applied"]
+        assert moves
+        for m in moves:
+            assert list(m) == ["remove", "add"]
+            assert len(m["add"]) == len(m["remove"]) + 1
+        _, trace = local_search(load_instance(inst), SearchConfig())
+        assert moves == [{"remove": list(m.remove), "add": list(m.add)}
+                         for m in trace.moves_applied]
 
     def test_generate_to_stdout(self, capsys):
         assert main(["generate", "--family", "wheel", "--n", "6"]) == 0

@@ -14,7 +14,6 @@ from .cactus import (
     is_valid_cactus,
 )
 from .errors import (
-    BudgetExceededError,
     CactusForgeError,
     IdentityViolationError,
     InstanceFormatError,
@@ -64,7 +63,6 @@ __all__ = [
     "InvalidCactusError",
     "NotLocallyOptimalError",
     "IdentityViolationError",
-    "BudgetExceededError",
     "SearchConfig",
     "SearchTrace",
     "SwapMove",

@@ -20,7 +20,6 @@ import sys
 from .analyzer import analyze_cactus
 from .cactus import cactus_from_triples, cactus_to_triples
 from .errors import (
-    BudgetExceededError,
     CactusForgeError,
     IdentityViolationError,
     InstanceFormatError,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .generators import FAMILIES, GeneratorSpec, build
 from .local_search import SearchConfig, local_search
-from .oracle import DEFAULT_BUDGET, clique_candidates, face_candidates, max_cactus
+from .oracle import clique_candidates, face_candidates, max_cactus
 from .pipeline import (
     acceptance_corpus,
     mps_pipeline,
@@ -126,7 +125,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     g = load_instance(args.path)
     cands = clique_candidates(g) if args.all_triangles else face_candidates(g)
-    res, witness = max_cactus(cands, args.budget)
+    res, witness = max_cactus(cands)
     _emit(
         {
             "optimum": res.optimum,
@@ -248,9 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--all-triangles", action="store_true",
                    help="use all 3-cliques, not just triangular faces")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most rank evaluations the witness may take: one "
-                        "for the value plus one per candidate (default %(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
 
@@ -302,9 +298,6 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             print(f"witness move: {exc.witness}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"oracle refused: {exc}", file=sys.stderr)
-        return 4
     except (CactusForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -60,19 +60,13 @@ class InvalidCactusError(CactusForgeError, ValueError):
 
 
 class BudgetExceededError(CactusForgeError, RuntimeError):
-    """The witness search could need more rank evaluations than its budget.
+    """Nothing raises this: the oracle's witness has no budget.
 
-    It is raised before the search, after the value's one evaluation:
-    the value rides along as ``.result``, with ``nodes_explored`` 1, and
-    no witness does.
+    A witness takes at most one rank evaluation per candidate plus one
+    for the value, so a cap could only refuse cheap work.  The class
+    stays only because the benchmark's tracer still imports and catches
+    it; it goes when that import does.
     """
-
-    def __init__(self, result, needed: int, budget: int):
-        super().__init__(
-            f"the witness may need {needed} rank evaluations, more than the "
-            f"budget of {budget}; raise it with --budget (beta = {result.optimum})"
-        )
-        self.result = result
 
 
 class NotLocallyOptimalError(CactusForgeError, ValueError):

@@ -32,9 +32,9 @@ row lengths, not s², components never mix, and the order changes no rank.
 The value takes one rank evaluation.  A witness, a maximum cactus
 itself, comes from self-reduction (``max_cactus``): drop a candidate
 whenever the rest, with the same weights, keeps rank 2β.  That is one
-evaluation per candidate at most, capped by a budget checked before
-the search starts.  The candidates are the triangular faces of a plane
-graph (the local search's move set) or all 3-cliques of any graph.
+evaluation per candidate at most, and one for the value.  The candidates
+are the triangular faces of a plane graph (the local search's move set)
+or all 3-cliques of any graph.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cactus import triples_form_cactus
-from .errors import (BudgetExceededError, CactusForgeError, IdentityViolationError,
-                     InvalidCactusError)
+from .errors import IdentityViolationError, InvalidCactusError
 from .plane_graph import PlaneGraph, cactus_ceiling
 
 __all__ = [
@@ -54,10 +53,8 @@ __all__ = [
     "face_candidates",
     "clique_candidates",
     "max_cactus",
-    "DEFAULT_BUDGET",
 ]
 
-DEFAULT_BUDGET = 41  # the value and 40 candidates
 PRIME = (1 << 61) - 1
 WEIGHT_SEED = 2018
 
@@ -195,33 +192,22 @@ def exact_beta_all_triangles(graph: Graph) -> OracleResult:
     return _value(candidates, cactus_ceiling(candidates))
 
 
-def max_cactus(
-    candidates: Sequence[Triple], budget: int = DEFAULT_BUDGET
-) -> tuple[OracleResult, tuple[Triple, ...]]:
+def max_cactus(candidates: Sequence[Triple]) -> tuple[OracleResult, tuple[Triple, ...]]:
     """β and a cactus of β candidates, by self-reduction.
 
     Candidates are visited in order, and one is dropped whenever the
     rank of the rest stays 2β.  Once exactly β are left, all of them
     are needed.  So m candidates take at most m + 1 rank evaluations,
-    the value's own included, and ``budget`` caps that count: it must
-    be an int of at least 1, and when m + 1 exceeds it,
-    BudgetExceededError is raised after the value's evaluation, with the
-    value, before any other.  A candidate that is not three distinct int
+    the value's own included.  A candidate that is not three distinct int
     vertices raises InvalidCactusError.  A result that is not a cactus
     of β triangles raises IdentityViolationError.
     """
-    if type(budget) is not int:
-        raise CactusForgeError(f"--budget must be an int, got {budget!r}")
-    if budget < 1:  # the value's own evaluation would overrun the cap
-        raise CactusForgeError(f"--budget must be at least 1, got {budget}")
     for t in candidates:  # the caller's, so checked before anything reads them
         if not (isinstance(t, (tuple, list)) and len(t) == 3
                 and all(type(v) is int for v in t) and len(set(t)) == 3):
             raise InvalidCactusError(f"candidate {t!r} is not three distinct int vertices")
     parity = _Parity(candidates, cactus_ceiling(candidates))
     full = parity.rank(range(len(candidates)))
-    if len(candidates) + 1 > budget:
-        raise BudgetExceededError(parity.result(full, 1), len(candidates) + 1, budget)
     beta = full // 2
     evaluations = 1
     keep = list(range(len(candidates)))

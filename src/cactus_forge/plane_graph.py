@@ -499,12 +499,12 @@ def parse_instance(data: object) -> PlaneGraph:
 
 
 def read_json(path) -> object:
-    """Load a JSON file; undecodable or over-nested content is an
-    InstanceFormatError that names the path."""
+    """Load a JSON file; undecodable or over-nested content, or an integer
+    past Python's digit limit, is an InstanceFormatError that names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -1,12 +1,14 @@
 """The export lists: every listed name resolves, removed spellings stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import cactus_forge
-from cactus_forge import GeneratorSpec, PlaneGraph, TriangularCactus, build_instance
+from cactus_forge import (GeneratorSpec, PlaneGraph, TriangularCactus, build_instance,
+                          max_cactus)
 from cactus_forge.cli import main
 
 MODULES = [cactus_forge] + [
@@ -26,6 +28,7 @@ REMOVED = (
     "worker" "_count",  # verify_corpus(threads=...)
     "apollo" "nian",  # GeneratorSpec("apollonian", n=n, seed=seed)
     "Boundary" "Counts",  # SuperFace.label
+    "DEFAULT" "_BUDGET",  # a witness takes at most m + 1 rank evaluations
 )
 PLANE_GRAPH_VIEWS = ("degree", "neighbors", "components", "face_at", "outer_face")
 CACTUS_VIEWS = ("same_component", "component_of", "components")
@@ -61,6 +64,19 @@ def test_removed_record_fields_are_gone():
     # host_faces copied the skeleton's entry; friendly restated friendly_pairs.
     assert "host_faces" not in SuperFace._fields
     assert "friendly" not in SuperFace._fields
+
+
+def test_the_witness_has_no_budget(capsys):
+    assert "budget" not in inspect.signature(max_cactus).parameters
+    # The class stays in errors only while the benchmark's tracer imports it.
+    assert not hasattr(cactus_forge, "Budget" "ExceededError")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--in", "x", "--budget", "57"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    assert "--budget" not in capsys.readouterr().out
 
 
 def test_bench_help_names_one_worker_knob(capsys):

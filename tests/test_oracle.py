@@ -5,14 +5,13 @@ import json
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cactus_forge import (
-    BudgetExceededError,
-    CactusForgeError,
     GeneratorSpec,
     InvalidCactusError,
     SearchConfig,
@@ -26,7 +25,7 @@ from cactus_forge import (
 from cactus_forge.cactus import triples_form_cactus
 from cactus_forge.cli import main
 from cactus_forge import oracle
-from cactus_forge.oracle import DEFAULT_BUDGET, clique_candidates, face_candidates
+from cactus_forge.oracle import clique_candidates, face_candidates
 from cactus_forge.plane_graph import dump_instance
 from reference_oracle import reference_beta, reference_parity_rank, reference_rank
 from reference_subgraph import reembed
@@ -48,8 +47,7 @@ def faces_of(g):
 
 def checked_witness(cands, res):
     """The self-reduction's witness, checked against the value ``res``."""
-    budget = len(cands) + 1
-    wres, witness = max_cactus(cands, budget=budget)
+    wres, witness = max_cactus(cands)
     assert (wres.optimum, wres.ceiling, wres.exhausted) == (
         res.optimum, res.ceiling, res.exhausted
     )
@@ -136,85 +134,49 @@ def test_ceiling_sums_over_candidate_components(two_k4):
     assert (res.optimum, res.ceiling, res.exhausted) == (2, 2, True)
 
 
-def test_candidate_guard():
-    # The default budget serves 40 candidates; the value needs one rank.
-    g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
-    assert g.f3_all == 56 > DEFAULT_BUDGET - 1
-    res = exact_beta_faces(g)
-    assert res.optimum == res.ceiling == 14 and res.exhausted
-    with pytest.raises(BudgetExceededError) as exc:
-        max_cactus(face_candidates(g))
-    assert exc.value.result == res
-    assert str(exc.value) == (
-        "the witness may need 57 rank evaluations, more than the budget of 41; "
-        "raise it with --budget (beta = 14)"
-    )
-    checked_witness(face_candidates(g), res)
-
-
-def test_budget_is_checked_before_the_search(monkeypatch):
-    # rmp n30 s7 has 56 candidates and its witness takes 54 evaluations,
-    # but 56 is refused up front: the cap is m + 1, not the count used.
+def test_candidate_guard(monkeypatch):
+    # rmp n30 s7 has 56 candidates, and its witness takes 54 counted rank
+    # calls; no guard on the candidate count refuses it.
     g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
     cands = face_candidates(g)
+    assert len(cands) == 56
     ranks = []
     real_rank = oracle._Parity.rank
     monkeypatch.setattr(oracle._Parity, "rank",
                         lambda self, keep: ranks.append(1) or real_rank(self, keep))
-    with pytest.raises(BudgetExceededError) as exc:
-        max_cactus(cands, budget=56)
-    assert len(ranks) == 1 and exc.value.result.nodes_explored == 1
-    assert exc.value.result.optimum == 14
-    ranks.clear()
-    res, witness = max_cactus(cands, budget=57)
+    res, witness = max_cactus(cands)
+    assert (res.optimum, res.ceiling, res.exhausted) == (14, 14, True)
     assert len(ranks) == res.nodes_explored == 54 and len(witness) == 14
 
 
-def test_budget_carries_partial_result(icosa):
-    # The budget counts rank evaluations; the value rides along.
-    with pytest.raises(BudgetExceededError) as exc:
-        max_cactus(face_candidates(icosa), budget=10)
-    partial = exc.value.result
-    assert partial.nodes_explored == 1
-    assert partial.optimum == 5 and partial.exhausted
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=24))
+def test_witness_stays_within_its_budget(pairs):
+    # Its budget is m + 1 rank evaluations, by construction.
+    edges, cands = clique_graph(pairs, 9)
+    value = exact_beta_all_triangles(edges)
+    res, witness = max_cactus(cands)
+    assert res.nodes_explored <= len(cands) + 1
+    assert res.optimum == value.optimum == len(witness)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=24),
-       st.integers(1, 40))
-def test_witness_stays_within_its_budget(pairs, budget):
-    edges, cands = clique_graph(pairs, 9)
-    value = exact_beta_all_triangles(edges)
-    if len(cands) + 1 > budget:
-        with pytest.raises(BudgetExceededError) as exc:
-            max_cactus(cands, budget=budget)
-        assert exc.value.result == value
-    else:
-        res, witness = max_cactus(cands, budget=budget)
-        assert res.nodes_explored <= budget
-        assert res.optimum == value.optimum == len(witness)
-
-
-@pytest.mark.parametrize("budget", [0, -3])
-def test_budget_below_one_is_bad_input(octa, tmp_path, capsys, budget):
-    # Rejected before any rank evaluation, not reported as a spent budget.
-    message = f"--budget must be at least 1, got {budget}"
-    with pytest.raises(CactusForgeError, match=message) as exc:
-        max_cactus(face_candidates(octa), budget=budget)
-    assert not isinstance(exc.value, BudgetExceededError)
-    inst = tmp_path / "octa.json"
-    dump_instance(octa, inst)
-    assert main(["oracle", "--in", str(inst), "--budget", str(budget)]) == 4
-    err = capsys.readouterr().err
-    assert message in err and "oracle refused" not in err
-
-
-@pytest.mark.parametrize("budget", [2.5, True, "41"])
-def test_budget_must_be_an_int(octa, budget):
-    # 2.5 used to run, and True was refused as a spent "budget of True".
-    with pytest.raises(CactusForgeError, match=re.escape(f"an int, got {budget!r}")) as exc:
-        max_cactus(face_candidates(octa), budget=budget)
-    assert not isinstance(exc.value, BudgetExceededError)
+@given(st.integers(4, 24), st.integers(0, 10_000), st.data())
+def test_paper_bounds_hold_on_non_planar_graphs(n, seed, data):
+    # A triangulation T plus up to 12 non-edges is a graph G that need not
+    # be planar.  A maximum cactus of G's 3-cliques covers at least 1/6 of
+    # T's internal triangular faces, and with a spanning tree joining its
+    # pieces it has n - 1 + beta edges, at least 4/9 of 3n - 6.
+    t = build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=seed))
+    non_edges = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in t.edge_set]
+    extra = []
+    if non_edges:  # K4 has none
+        extra = data.draw(st.lists(st.sampled_from(non_edges), unique=True, max_size=12))
+    cands = clique_candidates(sorted(t.edge_set) + extra)
+    _, witness = max_cactus(cands)
+    assert set(witness) <= set(cands) and triples_form_cactus(witness)
+    assert 6 * len(witness) >= t.f3_internal
+    assert Fraction(n - 1 + len(witness), 3 * n - 6) >= Fraction(4, 9)
 
 
 @pytest.mark.parametrize(
@@ -340,32 +302,25 @@ def test_host_and_oracle_read_one_ceiling():
     assert (host_count_above, reaches) == (44, 12)
 
 
-@pytest.fixture(scope="module")
-def rmp520():
-    # 1036 candidates, far past the witness guard
-    return build_instance(GeneratorSpec("random_maximal_planar", n=520, seed=1))
+def test_large_value_is_one_rank_evaluation():
+    # The value takes one rank evaluation at any size; a witness at this
+    # size takes about 9 s, so the witness test below runs at n = 128.
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=520, seed=1))
+    assert g.f3_all == 1036
+    res = exact_beta_faces(g)
+    assert (res.optimum, res.ceiling, res.exhausted, res.nodes_explored) == (259, 259, True, 1)
 
 
-def test_large_search_runs_out_of_budget_not_stack(rmp520):
-    # The value is one rank evaluation at any size; the witness then
-    # needs more than the default budget, and nothing else runs.
-    assert rmp520.f3_all == 1036
-    with pytest.raises(BudgetExceededError) as exc:
-        max_cactus(face_candidates(rmp520))
-    partial = exc.value.result
-    assert (partial.optimum, partial.ceiling, partial.exhausted) == (259, 259, True)
-    assert partial.nodes_explored == 1
-
-
-def test_large_search_cli_exits_4(rmp520, tmp_path, capsys):
-    inst = tmp_path / "rmp520.json"
-    dump_instance(rmp520, inst)
-    code = main(["oracle", "--in", str(inst), "--budget", "1036"])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert "oracle refused" in err
-    assert "1037 rank evaluations" in err and "beta = 259" in err
-    assert "Traceback" not in err
+def test_large_search_cli_exits_0(tmp_path, capsys):
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=128, seed=1))
+    inst = tmp_path / "rmp128.json"
+    dump_instance(g, inst)
+    assert len(face_candidates(g)) == 252
+    assert main(["oracle", "--in", str(inst)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["optimum"] == len(data["witness"]) == 63 and data["exhausted"]
+    assert data["nodes_explored"] <= 253
+    assert triples_form_cactus([tuple(t) for t in data["witness"]])
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +394,7 @@ def test_witnesses_are_pinned():
     out = []
     for n in (32, 64):
         cands = face_candidates(build_instance(GeneratorSpec("random_maximal_planar", n=n, seed=1)))
-        res, witness = max_cactus(cands, budget=len(cands) + 1)
+        res, witness = max_cactus(cands)
         out.append([list(res), [list(t) for t in witness]])
     assert [r[0] for r in out] == [[15, 15, True, 61], [31, 31, True, 125]]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()

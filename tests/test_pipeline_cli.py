@@ -481,7 +481,7 @@ class TestCorpusHarness:
         ]
         res = verify_corpus(corpus)
         small, large, error = res.reports
-        # n30 s7 has 56 candidates, more than the witness budget serves.
+        # n30 s7 has 56 candidates; beta needs no witness, just one rank.
         assert small["oracle_status"] == large["oracle_status"] == "parity-ceiling"
         assert (small["ceiling"], large["ceiling"]) == (4, 14)
         assert [r.beta_faces for r in res.rows[:2]] == [4, 14]
@@ -575,21 +575,18 @@ class TestCli:
         inst = self._generate(
             tmp_path, "--family", "random_maximal_planar", "--n", "30", "--seed", "7"
         )
-        assert main(["oracle", "--in", str(inst)]) == 4
-        err = capsys.readouterr().err
-        assert "oracle refused" in err
-        assert "--budget" in err and "beta = 14" in err
+        # No guard on the candidate count refuses its 56 candidates.
+        capsys.readouterr()
+        assert main(["oracle", "--in", str(inst)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["optimum"] == len(data["witness"]) == 14
+        assert data["nodes_explored"] == 54
 
     def test_oracle_witness_that_fails_its_check_exits_3(self, tmp_path, capsys, monkeypatch):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
         monkeypatch.setattr(oracle, "triples_form_cactus", lambda triples: False)
         assert main(["oracle", "--in", str(inst)]) == 3
         assert "identity violation" in capsys.readouterr().err
-
-    def test_oracle_budget_exit_code(self, tmp_path, capsys):
-        inst = self._generate(tmp_path, "--family", "platonic", "--name", "icosahedron")
-        assert main(["oracle", "--in", str(inst), "--budget", "10"]) == 4
-        assert "oracle refused" in capsys.readouterr().err
 
     def test_analyze_flags_non_optimum(self, tmp_path, capsys, heavy_shape_bad):
         inst = tmp_path / "bad.json"
@@ -720,6 +717,27 @@ class TestCli:
                 capsys.readouterr()
                 assert main(argv) == 4
                 assert str(path) in capsys.readouterr().err
+
+    def _assert_digit_limit_exits_4(self, capsys, argv, path):
+        # Past 4300 digits json.load raises a bare ValueError, not a
+        # JSONDecodeError; it is bad input all the same.
+        capsys.readouterr()
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
+        assert "4300 digits" in err
+
+    def test_instance_with_a_huge_integer_exits_4(self, tmp_path, capsys):
+        inst = tmp_path / "huge_n.json"
+        inst.write_text('{"n": ' + "9" * 5000 + ', "rotations": [], "outer": null}')
+        self._assert_digit_limit_exits_4(capsys, ["solve", "--in", str(inst)], inst)
+
+    def test_cactus_with_a_huge_integer_exits_4(self, tmp_path, capsys):
+        inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")
+        cac = tmp_path / "huge_cactus.json"
+        cac.write_text("[[0, 1, " + "7" * 5000 + "]]")
+        self._assert_digit_limit_exits_4(
+            capsys, ["analyze", "--in", str(inst), "--cactus", str(cac)], cac)
 
     def test_boolean_vertex_ids_are_rejected(self, tmp_path, capsys):
         inst = self._generate(tmp_path, "--family", "platonic", "--name", "octahedron")

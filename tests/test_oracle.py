@@ -134,19 +134,32 @@ def test_ceiling_sums_over_candidate_components(two_k4):
     assert (res.optimum, res.ceiling, res.exhausted) == (2, 2, True)
 
 
-def test_candidate_guard(monkeypatch):
-    # rmp n30 s7 has 56 candidates, and its witness takes 54 counted rank
-    # calls; no guard on the candidate count refuses it.
+def test_candidate_guard():
+    # rmp n30 s7 has 56 candidates; no guard on the candidate count
+    # refuses its witness.
+    g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
+    assert g.f3_all == 56
+    res = exact_beta_faces(g)
+    assert res.optimum == res.ceiling == 14 and res.exhausted
+    checked_witness(face_candidates(g), res)
+
+
+def test_budget_is_checked_before_the_search(monkeypatch):
+    # The search's cost is bounded before it starts: the first rank call
+    # is the value over all m candidates, and the whole witness takes at
+    # most m + 1 calls.  rmp n30 s7 (m = 56) takes 54.
     g = build_instance(GeneratorSpec("random_maximal_planar", n=30, seed=7))
     cands = face_candidates(g)
     assert len(cands) == 56
     ranks = []
     real_rank = oracle._Parity.rank
     monkeypatch.setattr(oracle._Parity, "rank",
-                        lambda self, keep: ranks.append(1) or real_rank(self, keep))
+                        lambda self, keep: ranks.append(len(list(keep))) or real_rank(self, keep))
     res, witness = max_cactus(cands)
     assert (res.optimum, res.ceiling, res.exhausted) == (14, 14, True)
-    assert len(ranks) == res.nodes_explored == 54 and len(witness) == 14
+    assert ranks[0] == len(cands)
+    assert len(ranks) == res.nodes_explored == 54 <= len(cands) + 1
+    assert len(witness) == 14
 
 
 @settings(max_examples=40, deadline=None)
